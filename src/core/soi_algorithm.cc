@@ -49,6 +49,13 @@ struct SoiScratchPool {
     StreetId street;
   };
 
+  // Where a cell's gathered POIs sit in the gather arrays.
+  struct GatherRange {
+    uint32_t begin;
+    uint32_t end;
+  };
+  static constexpr uint32_t kNotGathered = ~uint32_t{0};
+
   struct QueryScratch {
     // Filtering phase.
     std::vector<char> seen;
@@ -56,9 +63,17 @@ struct SoiScratchPool {
     std::vector<double> street_best;
     std::vector<GlobalInvertedIndex::Entry> sl1;
     std::vector<double> cell_relevant_bound;
-    std::vector<SegmentId> sl2;
     std::vector<double> lbk;
-    GlobalInvertedIndex::QueryCellScratch cell_list;
+    LivePoiView::QueryCellScratch cell_list;
+    // Per-query relevant-POI gather (Run::GatherCell): each touched
+    // cell's query-relevant POIs, copied once in ascending id order.
+    // `gathered` is dense by CellId and reset through `gathered_cells`.
+    std::vector<PostingCursor> cursors;
+    std::vector<GatherRange> gathered;
+    std::vector<CellId> gathered_cells;
+    std::vector<double> gather_x;
+    std::vector<double> gather_y;
+    std::vector<double> gather_w;
     // FinalizeSegment parallel path.
     std::vector<size_t> unvisited;
     std::vector<double> finalize_mass;
@@ -252,8 +267,7 @@ class Run {
         states_(s_.states),
         street_best_(s_.street_best),
         sl1_(s_.sl1),
-        cell_relevant_bound_(s_.cell_relevant_bound),
-        sl2_(s_.sl2) {
+        cell_relevant_bound_(s_.cell_relevant_bound) {
     const size_t num_segments =
         static_cast<size_t>(network.num_segments());
     seen_.assign(num_segments, 0);
@@ -261,16 +275,32 @@ class Run {
     // gated by seen_ and GetOrCreateState re-initializes on first touch.
     if (states_.size() < num_segments) states_.resize(num_segments);
     street_best_.assign(static_cast<size_t>(network.num_streets()), -1.0);
+    // Forget the previous lease's gather (also after an aborted run).
+    for (CellId cell : s_.gathered_cells) {
+      s_.gathered[static_cast<size_t>(cell)].begin =
+          SoiScratchPool::kNotGathered;
+    }
+    s_.gathered_cells.clear();
+    s_.gathered.resize(static_cast<size_t>(grid.geometry().num_cells()),
+                       {SoiScratchPool::kNotGathered, 0});
+    s_.gather_x.clear();
+    s_.gather_y.clear();
+    s_.gather_w.clear();
   }
 
   Result<SoiResult> Execute();
 
  private:
   SegmentState& GetOrCreateState(SegmentId id);
-  // Relevant mass of `cell` for the query w.r.t. `geometry` (the body of
-  // procedure UpdateInterest), accumulated locally so sequential and
-  // parallel callers add per-cell sums to the segment mass in the same
-  // order — the determinism contract's bit-identity hinges on this.
+  // On the query's first touch of `cell`, copies the cell's POIs relevant
+  // to the query (the posting-list merge of procedure UpdateInterest) into
+  // the scratch gather arrays, ascending by id. Later touches reuse them.
+  void GatherCell(CellId cell);
+  // Relevant mass of the gathered `cell` for the query w.r.t. `geometry`
+  // (the body of procedure UpdateInterest), accumulated locally so
+  // sequential and parallel callers add per-cell sums to the segment mass
+  // in the same order — the determinism contract's bit-identity hinges
+  // on this. Pure read: safe on pool threads.
   double CellMass(const Segment& geometry, CellId cell,
                   int64_t* distance_checks) const;
   // Procedure UpdateInterest of Algorithm 1.
@@ -329,8 +359,8 @@ class Run {
   // Relevant-weight upper bound per cell (0 for cells off SL1), for the
   // pruned refinement. Dense: indexed by CellId.
   std::vector<double>& cell_relevant_bound_;
-  // SL2: segments by decreasing |C_eps(l)|.
-  std::vector<SegmentId>& sl2_;
+  // SL2: segments by decreasing |C_eps(l)| (precomputed per eps).
+  Span<SegmentId> sl2_;
 
   size_t sl1_pos_ = 0;
   size_t sl2_pos_ = 0;
@@ -370,16 +400,39 @@ void Run::UpdateStreetBest(StreetId street, double lower_bound) {
   if (lower_bound > best) best = lower_bound;
 }
 
+void Run::GatherCell(CellId cell) {
+  SoiScratchPool::GatherRange& range =
+      s_.gathered[static_cast<size_t>(cell)];
+  if (range.begin != SoiScratchPool::kNotGathered) return;
+  const PoiCellView bucket = view_.Cell(cell);
+  range.begin = static_cast<uint32_t>(s_.gather_w.size());
+  MergeRelevantInCell(bucket, query_.keywords, &s_.cursors,
+                      [&](uint32_t slot) {
+                        s_.gather_x.push_back(bucket.x[slot]);
+                        s_.gather_y.push_back(bucket.y[slot]);
+                        s_.gather_w.push_back(bucket.w[slot]);
+                      });
+  range.end = static_cast<uint32_t>(s_.gather_w.size());
+  s_.gathered_cells.push_back(cell);
+}
+
 double Run::CellMass(const Segment& geometry, CellId cell,
                      int64_t* distance_checks) const {
+  const SoiScratchPool::GatherRange range =
+      s_.gathered[static_cast<size_t>(cell)];
+  SOI_DCHECK(range.begin != SoiScratchPool::kNotGathered);
+  const double* x = s_.gather_x.data();
+  const double* y = s_.gather_y.data();
+  const double* w = s_.gather_w.data();
   double mass = 0.0;
-  view_.ForEachRelevantInCell(cell, query_.keywords, [&](PoiId poi) {
-    ++*distance_checks;
-    const Poi& p = view_.PoiById(poi);
-    if (geometry.DistanceTo(p.position) <= query_.eps) {
-      mass += p.weight;
+  for (uint32_t i = range.begin; i < range.end; ++i) {
+    // The exact distance test, not a squared one: squaring can flip the
+    // comparison at the boundary.
+    if (geometry.DistanceTo(Point{x[i], y[i]}) <= query_.eps) {
+      mass += w[i];
     }
-  });
+  }
+  *distance_checks += range.end - range.begin;
   return mass;
 }
 
@@ -394,6 +447,7 @@ void Run::UpdateInterest(SegmentId id, CellId cell) {
   state.MarkVisited(pos);
   --state.remaining;
 
+  GatherCell(cell);
   const NetworkSegment& segment = network_.segment(id);
   state.mass +=
       CellMass(segment.geometry, cell, &result_.stats.poi_distance_checks);
@@ -419,6 +473,8 @@ void Run::FinalizeSegment(SegmentId id) {
     for (size_t pos = 0; pos < cells.size(); ++pos) {
       if (!state.IsVisited(pos)) unvisited.push_back(pos);
     }
+    // Gather on this thread, so the pool threads below only read.
+    for (size_t pos : unvisited) GatherCell(cells[pos]);
     const NetworkSegment& segment = network_.segment(id);
     std::vector<double>& cell_mass = s_.finalize_mass;
     cell_mass.assign(unvisited.size(), 0.0);
@@ -456,19 +512,9 @@ void Run::BuildSourceLists() {
   for (const GlobalInvertedIndex::Entry& entry : sl1_) {
     cell_relevant_bound_[static_cast<size_t>(entry.cell)] = entry.weight;
   }
-  // SL2: all segments by decreasing |C_eps(l)| (built at query time: the
-  // augmentation depends on eps). Ties by ascending id for determinism.
-  sl2_.resize(static_cast<size_t>(network_.num_segments()));
-  for (SegmentId id = 0; id < network_.num_segments(); ++id) {
-    sl2_[static_cast<size_t>(id)] = id;
-  }
-  ParallelSort(options_.pool, sl2_.begin(), sl2_.end(),
-               [this](SegmentId a, SegmentId b) {
-                 int64_t ca = maps_.NumSegmentCells(a);
-                 int64_t cb = maps_.NumSegmentCells(b);
-                 if (ca != cb) return ca > cb;
-                 return a < b;
-               });
+  // SL2 depends only on eps: the maps carry it, ordered by decreasing
+  // |C_eps(l)| with ascending id as the tie-break.
+  sl2_ = maps_.SegmentsByNumCells();
   // SL3 (sl3_) is the offline by-length list, shared across queries.
 }
 

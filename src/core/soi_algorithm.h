@@ -53,8 +53,8 @@ struct SoiAlgorithmOptions {
   /// false finalizes every seen segment (ablation).
   bool pruned_refinement = true;
 
-  /// Optional pool for intra-query parallelism (source-list sorts, the
-  /// refinement bound/finalize work). Not owned; may be null. The result
+  /// Optional pool for intra-query parallelism (the refinement sort,
+  /// bound and finalize work). Not owned; may be null. The result
   /// is bit-identical for every pool size (DESIGN.md "Threading model"),
   /// so this is purely a latency knob.
   ThreadPool* pool = nullptr;

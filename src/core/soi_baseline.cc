@@ -17,11 +17,13 @@ double SoiBaseline::SegmentMass(SegmentId id, const KeywordSet& keywords,
   const Segment& geometry = network_->segment(id).geometry;
   double eps = maps.eps();
   double mass = 0;
+  std::vector<PostingCursor> cursors;
   for (CellId cell : maps.SegmentCells(id)) {
-    grid_->ForEachRelevantInCell(cell, keywords, [&](PoiId poi) {
-      const Poi& p = grid_->pois()[static_cast<size_t>(poi)];
-      if (geometry.DistanceTo(p.position) <= eps) {
-        mass += p.weight;
+    const PoiCellView bucket = grid_->Cell(cell);
+    MergeRelevantInCell(bucket, keywords, &cursors, [&](uint32_t slot) {
+      if (geometry.DistanceTo(Point{bucket.x[slot], bucket.y[slot]}) <=
+          eps) {
+        mass += bucket.w[slot];
       }
     });
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "grid/live_poi_view.h"
-
 namespace soi {
 
 void GlobalInvertedIndex::SortByWeightDesc(std::vector<Entry>* entries) {
@@ -15,20 +13,19 @@ void GlobalInvertedIndex::SortByWeightDesc(std::vector<Entry>* entries) {
 }
 
 GlobalInvertedIndex::GlobalInvertedIndex(const PoiGridIndex& grid) {
-  const std::vector<Poi>& pois = grid.pois();
   // Build-time staging only: rows are gathered per keyword, sorted, then
   // flattened into the serving arena. Offline, once per dataset.
   std::vector<std::vector<Entry>> rows;
-  for (CellId cell : grid.NonEmptyCells()) {
-    const PoiGridIndex::Cell* bucket = grid.FindCell(cell);
-    for (const auto& [keyword, postings] : bucket->postings) {
+  for (CellId cell = 0; cell < grid.geometry().num_cells(); ++cell) {
+    const PoiCellView bucket = grid.Cell(cell);
+    for (size_t j = 0; j < bucket.keywords.size(); ++j) {
+      const KeywordId keyword = bucket.keywords[j];
       if (static_cast<size_t>(keyword) >= rows.size()) {
         rows.resize(static_cast<size_t>(keyword) + 1);
       }
+      Span<uint32_t> postings = bucket.Postings(j);
       double weight = 0.0;
-      for (PoiId id : postings) {
-        weight += pois[static_cast<size_t>(id)].weight;
-      }
+      for (uint32_t slot : postings) weight += bucket.w[slot];
       rows[static_cast<size_t>(keyword)].push_back(
           Entry{cell, static_cast<int64_t>(postings.size()), weight});
     }
@@ -46,24 +43,6 @@ GlobalInvertedIndex::GlobalInvertedIndex(CsrArray<Entry> lists)
   for (int64_t k = 0; k < lists_.num_rows(); ++k) {
     if (lists_.RowSize(k) > 0) ++num_nonempty_;
   }
-}
-
-std::vector<GlobalInvertedIndex::Entry>
-GlobalInvertedIndex::BuildQueryCellList(const KeywordSet& query,
-                                        const PoiGridIndex& grid) const {
-  QueryCellScratch scratch;
-  std::vector<Entry> result;
-  BuildQueryCellList(query, grid, &scratch, &result);
-  return result;
-}
-
-void GlobalInvertedIndex::BuildQueryCellList(
-    const KeywordSet& query, const PoiGridIndex& grid,
-    QueryCellScratch* scratch, std::vector<Entry>* result) const {
-  // The static path is the null-overlay special case of the live view;
-  // delegating keeps the two read paths one implementation (and so
-  // trivially bit-identical to each other).
-  LivePoiView(grid, *this).BuildQueryCellList(query, scratch, result);
 }
 
 }  // namespace soi

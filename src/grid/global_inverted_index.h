@@ -8,7 +8,6 @@
 #include "common/span.h"
 #include "grid/grid_geometry.h"
 #include "grid/poi_grid_index.h"
-#include "text/keyword_set.h"
 #include "text/vocabulary.h"
 
 namespace soi {
@@ -24,7 +23,8 @@ namespace soi {
 /// yield an empty span, preserving the old empty-list fallback.
 ///
 /// The entry list for the query keyword is (after per-cell aggregation for
-/// multi-keyword queries) the source list SL1 of Algorithm 1.
+/// multi-keyword queries, LivePoiView::BuildQueryCellList) the source list
+/// SL1 of Algorithm 1.
 class GlobalInvertedIndex {
  public:
   struct Entry {
@@ -40,16 +40,6 @@ class GlobalInvertedIndex {
       return a.cell == b.cell && a.num_pois == b.num_pois &&
              a.weight == b.weight;
     }
-  };
-
-  /// Reusable per-query scratch for BuildQueryCellList: dense per-cell
-  /// accumulators plus the list of touched cells, so repeated queries on
-  /// one thread allocate nothing steady-state. The dense arrays are
-  /// all-zero between calls (BuildQueryCellList restores them).
-  struct QueryCellScratch {
-    std::vector<int64_t> counts;
-    std::vector<double> weights;
-    std::vector<CellId> touched;
   };
 
   /// Builds from an already-built POI grid (offline, once per dataset).
@@ -68,24 +58,6 @@ class GlobalInvertedIndex {
     if (keyword < 0 || keyword >= lists_.num_rows()) return Span<Entry>();
     return lists_.Row(keyword);
   }
-
-  /// Builds the SL1 aggregation for a multi-keyword query: for every cell
-  /// that appears in some query keyword's list, the upper bound
-  /// |P_Psi(c)| = min(|P_c|, sum over psi of I[psi][c]) on the number
-  /// (and, in `weight`, the min of the analogous weight sums on the total
-  /// weight) of POIs in the cell relevant to the query (Algorithm 1,
-  /// lines 1-3). Returned sorted decreasingly on the weight bound.
-  std::vector<Entry> BuildQueryCellList(const KeywordSet& query,
-                                        const PoiGridIndex& grid) const;
-
-  /// Allocation-free variant for the serving path: accumulates through
-  /// `scratch` (resized to the grid once, zero-restored on return) and
-  /// writes the sorted list into `*result` (cleared first, capacity
-  /// retained). Produces bit-identical results to the allocating
-  /// overload.
-  void BuildQueryCellList(const KeywordSet& query, const PoiGridIndex& grid,
-                          QueryCellScratch* scratch,
-                          std::vector<Entry>* result) const;
 
   /// Sorts a row into the canonical order every reader assumes: weight
   /// descending, ascending cell id as the tie-break. Cells are unique

@@ -5,7 +5,7 @@
 namespace soi {
 
 void LivePoiView::BuildQueryCellList(
-    const KeywordSet& query, GlobalInvertedIndex::QueryCellScratch* scratch,
+    const KeywordSet& query, QueryCellScratch* scratch,
     std::vector<GlobalInvertedIndex::Entry>* result) const {
   using Entry = GlobalInvertedIndex::Entry;
   const size_t num_cells = static_cast<size_t>(geometry().num_cells());
@@ -34,19 +34,16 @@ void LivePoiView::BuildQueryCellList(
   result->reserve(scratch->touched.size());
   for (CellId cell : scratch->touched) {
     // min(per-keyword sum, whole-cell total) is a valid upper bound for
-    // counts and weights alike. The whole-cell weight sums this epoch's
-    // live ids ascending — the same operand order as a cold rebuild.
-    double cell_weight = 0.0;
-    const PoiGridIndex::Cell* bucket = FindCell(cell);
-    for (PoiId id : bucket->pois) {
-      cell_weight += PoiById(id).weight;
-    }
+    // counts and weights alike. The whole-cell weight is precomputed per
+    // cell by summing its live ids' weights ascending — the same operand
+    // order as a cold rebuild.
+    const PoiCellView bucket = Cell(cell);
     const size_t c = static_cast<size_t>(cell);
     result->push_back(
         Entry{cell,
               std::min(scratch->counts[c],
-                       static_cast<int64_t>(bucket->pois.size())),
-              std::min(scratch->weights[c], cell_weight)});
+                       static_cast<int64_t>(bucket.size())),
+              std::min(scratch->weights[c], bucket.total_weight)});
     // Restore the all-zero invariant for the next query.
     scratch->counts[c] = 0;
     scratch->weights[c] = 0.0;

@@ -17,13 +17,11 @@ namespace soi {
 /// The epoch-pinned read surface of the POI indexes: a base
 /// PoiGridIndex/GlobalInvertedIndex pair plus an optional PoiDeltaOverlay
 /// merged in at read time. Every POI-side read the SOI algorithm performs
-/// (cell buckets, posting merges, global-index rows, the SL1 query cell
-/// list) goes through this view, so a query sees one consistent epoch for
-/// its whole evaluation.
+/// (cells, global-index rows, the SL1 query cell list) goes through this
+/// view, so a query sees one consistent epoch for its whole evaluation.
 ///
 /// With a null overlay the view is a zero-cost pass-through to the base
-/// indexes — GlobalInvertedIndex::BuildQueryCellList itself delegates
-/// here, so the static and live read paths are one implementation and
+/// indexes, so the static and live read paths are one implementation and
 /// cannot drift apart. With an overlay, lookups consult the overlay's
 /// replacement cells/rows first (one hash probe) and fall back to the
 /// base; merged reads are bit-identical to a cold rebuild of the live
@@ -43,35 +41,32 @@ class LivePoiView {
               const PoiDeltaOverlay* overlay)
       : grid_(&grid), global_(&global), overlay_(overlay) {}
 
+  /// Reusable per-query scratch for BuildQueryCellList: dense per-cell
+  /// accumulators plus the list of touched cells, so repeated queries on
+  /// one thread allocate nothing steady-state. The dense arrays are
+  /// all-zero between calls (BuildQueryCellList restores them).
+  struct QueryCellScratch {
+    std::vector<int64_t> counts;
+    std::vector<double> weights;
+    std::vector<CellId> touched;
+  };
+
   const GridGeometry& geometry() const { return grid_->geometry(); }
-  const PoiGridIndex& base_grid() const { return *grid_; }
 
-  /// The POI for a live id: base table for ids below the base size, the
-  /// overlay's insert table above it.
-  const Poi& PoiById(PoiId id) const {
-    const std::vector<Poi>& base = grid_->pois();
-    if (overlay_ == nullptr ||
-        static_cast<size_t>(id) < overlay_->base_size) {
-      return base[static_cast<size_t>(id)];
-    }
-    return (*overlay_->added)[static_cast<size_t>(id) -
-                              overlay_->base_size];
-  }
-
-  /// Cell bucket merged through the overlay, or nullptr if the cell is
+  /// The cell's POIs in this epoch: the overlay's replacement cell if it
+  /// has one (one hash probe), else the base cell. Empty if the cell is
   /// empty in this epoch.
-  const PoiGridIndex::Cell* FindCell(CellId id) const {
+  PoiCellView Cell(CellId id) const {
     if (overlay_ != nullptr) {
       auto it = overlay_->cells.find(id);
-      if (it != overlay_->cells.end()) return it->second.get();
+      if (it != overlay_->cells.end()) return it->second->View();
     }
-    return grid_->FindCell(id);
+    return grid_->Cell(id);
   }
 
   /// |P_c| in this epoch (0 if empty).
   int64_t NumPoisInCell(CellId id) const {
-    const PoiGridIndex::Cell* cell = FindCell(id);
-    return cell == nullptr ? 0 : static_cast<int64_t>(cell->pois.size());
+    return static_cast<int64_t>(Cell(id).size());
   }
 
   /// Global-index entries for `keyword` in this epoch, sorted
@@ -87,22 +82,18 @@ class LivePoiView {
     return global_->Entries(keyword);
   }
 
-  /// Invokes `fn(PoiId)` once per POI in `cell` relevant to `query`,
-  /// ascending by live id — the same merge (MergeRelevantInCell) the
-  /// base index runs, applied to this epoch's effective cell.
-  template <typename Fn>
-  void ForEachRelevantInCell(CellId cell, const KeywordSet& query,
-                             Fn&& fn) const {
-    const PoiGridIndex::Cell* c = FindCell(cell);
-    if (c == nullptr) return;
-    MergeRelevantInCell(*c, query, fn);
-  }
-
-  /// The SL1 aggregation of Algorithm 1 over this epoch: identical
-  /// accumulation order to (and, with a null overlay, the single
-  /// implementation behind) GlobalInvertedIndex::BuildQueryCellList.
+  /// Builds the SL1 aggregation of Algorithm 1 (lines 1-3) over this
+  /// epoch: for every cell in some query keyword's global-index row, the
+  /// upper bound |P_Psi(c)| = min(|P_c|, sum over psi of I[psi][c]) on
+  /// the number of POIs in the cell relevant to the query, and in
+  /// `weight` the min of the analogous weight sums and the cell's total
+  /// weight. Accumulates through `scratch` (resized to the grid once,
+  /// zero-restored on return) and writes the list, sorted decreasingly
+  /// on the weight bound, into `*result` (cleared first, capacity
+  /// retained). The static path is the null-overlay case, so the static
+  /// and live read paths are one implementation.
   void BuildQueryCellList(const KeywordSet& query,
-                          GlobalInvertedIndex::QueryCellScratch* scratch,
+                          QueryCellScratch* scratch,
                           std::vector<GlobalInvertedIndex::Entry>* result)
       const;
 

@@ -44,14 +44,14 @@ struct PoiDeltaOverlay {
   /// already absent from the replacement cells).
   std::shared_ptr<const std::unordered_set<PoiId>> deleted;
 
-  /// Cells touched by any insert/delete, fully rematerialized: survivors
-  /// of the base cell in ascending id order followed by surviving adds
-  /// in ascending id order (all base ids < all added ids, so the
-  /// concatenation is sorted), postings likewise. A reader uses the
-  /// replacement verbatim; an absent key means the base cell is intact.
-  std::unordered_map<CellId,
-                     std::shared_ptr<const PoiGridIndex::Cell>>
-      cells;
+  /// Cells touched by any insert/delete, fully rematerialized in the
+  /// base index's flat layout (PoiCellData::Build): survivors of the base
+  /// cell in ascending id order followed by surviving adds in ascending
+  /// id order (all base ids < all added ids, so the concatenation is
+  /// sorted), directory, postings and total weight recomputed from them.
+  /// A reader uses the replacement verbatim; an absent key means the base
+  /// cell is intact.
+  std::unordered_map<CellId, std::shared_ptr<const PoiCellData>> cells;
 
   /// Global-index rows for keywords whose entry set changed, recomputed
   /// from the replacement cells and re-sorted with SortByWeightDesc. An

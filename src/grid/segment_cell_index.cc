@@ -46,6 +46,32 @@ void InvertSegmentCells(const CsrArray<CellId>& segment_cells,
   });
 }
 
+// Orders the rows of `segment_cells` by decreasing size, ascending id as
+// the tie-break, with one counting pass over the row sizes: each size
+// class gets a contiguous range (larger sizes first) that ids fill in
+// ascending order.
+std::vector<SegmentId> OrderByNumCellsDesc(
+    const CsrArray<CellId>& segment_cells) {
+  const int64_t num_segments = segment_cells.num_rows();
+  int64_t max_size = 0;
+  for (int64_t id = 0; id < num_segments; ++id) {
+    max_size = std::max(max_size, segment_cells.RowSize(id));
+  }
+  // starts[max_size - s] = first position of size s.
+  std::vector<int64_t> starts(static_cast<size_t>(max_size) + 2, 0);
+  for (int64_t id = 0; id < num_segments; ++id) {
+    ++starts[static_cast<size_t>(max_size - segment_cells.RowSize(id)) + 1];
+  }
+  for (size_t i = 1; i < starts.size(); ++i) starts[i] += starts[i - 1];
+  std::vector<SegmentId> order(static_cast<size_t>(num_segments));
+  for (int64_t id = 0; id < num_segments; ++id) {
+    const size_t key =
+        static_cast<size_t>(max_size - segment_cells.RowSize(id));
+    order[static_cast<size_t>(starts[key]++)] = static_cast<SegmentId>(id);
+  }
+  return order;
+}
+
 // Builds per-segment rows [lo, hi) of `build_row` into chunk-local CSR
 // parts merged in chunk order: concatenating rows in segment order makes
 // the merged arena independent of the chunking, hence of the thread
@@ -148,6 +174,7 @@ EpsAugmentedMaps::EpsAugmentedMaps(const SegmentCellIndex& base, double eps,
       });
   InvertSegmentCells(segment_cells_, geometry_->num_cells(), pool,
                      &cell_segments_);
+  segments_by_num_cells_ = OrderByNumCellsDesc(segment_cells_);
   SOI_OBS_COUNTER_ADD("soi.index.eps_augment_builds", 1);
   SOI_OBS_HISTOGRAM_OBSERVE("soi.index.eps_augment_seconds",
                             build_timer.ElapsedSeconds());
@@ -166,6 +193,7 @@ EpsAugmentedMaps::EpsAugmentedMaps(const SegmentCellIndex& base, double eps,
       << base.network().num_segments() << " segments";
   InvertSegmentCells(segment_cells_, geometry_->num_cells(), pool,
                      &cell_segments_);
+  segments_by_num_cells_ = OrderByNumCellsDesc(segment_cells_);
 }
 
 }  // namespace soi

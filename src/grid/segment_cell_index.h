@@ -1,6 +1,8 @@
 #ifndef SOI_GRID_SEGMENT_CELL_INDEX_H_
 #define SOI_GRID_SEGMENT_CELL_INDEX_H_
 
+#include <vector>
+
 #include "common/cancellation.h"
 #include "common/csr.h"
 #include "common/span.h"
@@ -115,6 +117,14 @@ class EpsAugmentedMaps {
     return segment_cells_.RowSize(id);
   }
 
+  /// Source list SL2 of Algorithm 1: every segment by decreasing
+  /// |C_eps(l)|, ascending id as the tie-break. It depends only on eps,
+  /// so it is computed with the maps (one counting pass) instead of
+  /// sorted per query.
+  Span<SegmentId> SegmentsByNumCells() const {
+    return Span<SegmentId>(segments_by_num_cells_);
+  }
+
   /// The full segment -> cells arena (snapshot writer, determinism
   /// tests).
   const CsrArray<CellId>& segment_cells() const { return segment_cells_; }
@@ -124,6 +134,7 @@ class EpsAugmentedMaps {
   const GridGeometry* geometry_;
   CsrArray<CellId> segment_cells_;
   CsrArray<SegmentId> cell_segments_;
+  std::vector<SegmentId> segments_by_num_cells_;
 };
 
 }  // namespace soi

@@ -224,44 +224,38 @@ Status LiveWorld::ApplyBatch(const UpdateBatch& batch) {
     affected.insert(geometry.CellOf(poi_at(id).position));
   }
 
-  // Rematerialize every affected cell: survivors of the previous
-  // effective cell in ascending id order, then this batch's inserts in
-  // insert order (their ids are larger than every earlier id, so the
-  // concatenation stays sorted — the cold-rebuild id order).
-  std::unordered_map<CellId, std::shared_ptr<const PoiGridIndex::Cell>>
-      new_cells = prev != nullptr ? prev->cells : decltype(new_cells)();
+  // Rematerialize every affected cell in the flat layout: survivors of
+  // the previous effective cell in ascending id order, then this batch's
+  // inserts in insert order (their ids are larger than every earlier id,
+  // so the concatenation stays sorted — the cold-rebuild id order).
+  std::unordered_map<CellId, std::shared_ptr<const PoiCellData>> new_cells =
+      prev != nullptr ? prev->cells : decltype(new_cells)();
   // keyword -> affected cells carrying it before or after this batch.
   std::unordered_map<KeywordId, std::vector<CellId>> dirty_rows;
+  std::vector<PoiId> ids;
+  std::vector<const Poi*> cell_pois;
   for (CellId cell : affected) {
-    const PoiGridIndex::Cell* old_cell = prev_view.FindCell(cell);
-    auto replacement = std::make_shared<PoiGridIndex::Cell>();
-    if (old_cell != nullptr) {
-      for (PoiId id : old_cell->pois) {
-        if (batch_deleted.count(id) == 0) {
-          replacement->pois.push_back(id);
-        }
-      }
-      for (const auto& [keyword, postings] : old_cell->postings) {
-        (void)postings;
-        dirty_rows[keyword].push_back(cell);
-      }
+    const PoiCellView old_cell = prev_view.Cell(cell);
+    ids.clear();
+    for (PoiId id : old_cell.ids) {
+      if (batch_deleted.count(id) == 0) ids.push_back(id);
     }
     for (size_t i = 0; i < batch.poi_inserts.size(); ++i) {
       if (geometry.CellOf(batch.poi_inserts[i].position) == cell) {
-        replacement->pois.push_back(first_new_id +
-                                    static_cast<PoiId>(i));
+        ids.push_back(first_new_id + static_cast<PoiId>(i));
       }
     }
-    for (PoiId id : replacement->pois) {
-      for (KeywordId keyword : poi_at(id).keywords.ids()) {
-        std::vector<PoiId>& postings = replacement->postings[keyword];
-        if (postings.empty() && (old_cell == nullptr ||
-                                 old_cell->postings.count(keyword) == 0)) {
-          // Keyword newly present in this cell: its row is dirty too
-          // (cells already carrying it were queued above).
-          dirty_rows[keyword].push_back(cell);
-        }
-        postings.push_back(id);
+    cell_pois.clear();
+    for (PoiId id : ids) cell_pois.push_back(&poi_at(id));
+    auto replacement = std::make_shared<const PoiCellData>(
+        PoiCellData::Build(ids, cell_pois));
+    // Rows of keywords the cell carried or now carries are dirty.
+    for (KeywordId keyword : old_cell.keywords) {
+      dirty_rows[keyword].push_back(cell);
+    }
+    for (KeywordId keyword : replacement->View().keywords) {
+      if (old_cell.FindPostings(keyword).empty()) {
+        dirty_rows[keyword].push_back(cell);
       }
     }
     new_cells[cell] = std::move(replacement);
@@ -281,9 +275,6 @@ Status LiveWorld::ApplyBatch(const UpdateBatch& batch) {
     Span<GlobalInvertedIndex::Entry> old_row = prev_view.Entries(keyword);
     std::vector<GlobalInvertedIndex::Entry> row(old_row.begin(),
                                                 old_row.end());
-    // A cell can appear twice in cells_of_keyword (old and new posting
-    // both present); the recomputation is idempotent, so duplicates are
-    // harmless.
     for (CellId cell : cells_of_keyword) {
       auto replacement = new_cells.find(cell);
       SOI_DCHECK(replacement != new_cells.end());
@@ -292,16 +283,16 @@ Status LiveWorld::ApplyBatch(const UpdateBatch& batch) {
                        [cell](const GlobalInvertedIndex::Entry& e) {
                          return e.cell == cell;
                        });
-      auto postings_it = replacement->second->postings.find(keyword);
-      if (postings_it == replacement->second->postings.end() ||
-          postings_it->second.empty()) {
+      const PoiCellView bucket = replacement->second->View();
+      Span<uint32_t> postings = bucket.FindPostings(keyword);
+      if (postings.empty()) {
         if (entry_it != row.end()) row.erase(entry_it);
         continue;
       }
       double weight = 0.0;
-      for (PoiId id : postings_it->second) weight += poi_at(id).weight;
+      for (uint32_t slot : postings) weight += bucket.w[slot];
       GlobalInvertedIndex::Entry entry{
-          cell, static_cast<int64_t>(postings_it->second.size()), weight};
+          cell, static_cast<int64_t>(postings.size()), weight};
       if (entry_it != row.end()) {
         *entry_it = entry;
       } else {

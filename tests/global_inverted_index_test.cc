@@ -1,7 +1,9 @@
+#include <set>
 #include <vector>
 
 #include "common/random.h"
 #include "grid/global_inverted_index.h"
+#include "grid/live_poi_view.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -9,6 +11,16 @@ namespace soi {
 namespace {
 
 Box TestBox() { return Box::FromCorners(Point{0, 0}, Point{1, 1}); }
+
+// The SL1 aggregation through the static (null-overlay) LivePoiView.
+std::vector<GlobalInvertedIndex::Entry> QueryCellList(
+    const KeywordSet& query, const PoiGridIndex& grid,
+    const GlobalInvertedIndex& index) {
+  LivePoiView::QueryCellScratch scratch;
+  std::vector<GlobalInvertedIndex::Entry> result;
+  LivePoiView(grid, index).BuildQueryCellList(query, &scratch, &result);
+  return result;
+}
 
 TEST(GlobalInvertedIndexTest, EntriesSortedDescendingAndCorrect) {
   Vocabulary vocabulary;
@@ -24,16 +36,15 @@ TEST(GlobalInvertedIndexTest, EntriesSortedDescendingAndCorrect) {
         EXPECT_GE(entries[i - 1].num_pois, entries[i].num_pois);
       }
       // num_pois matches the local posting list length.
-      const std::vector<PoiId>* postings =
-          grid.FindPostings(entries[i].cell, keyword);
-      ASSERT_NE(postings, nullptr);
-      EXPECT_EQ(entries[i].num_pois,
-                static_cast<int64_t>(postings->size()));
+      Span<uint32_t> postings =
+          grid.Cell(entries[i].cell).FindPostings(keyword);
+      ASSERT_FALSE(postings.empty());
+      EXPECT_EQ(entries[i].num_pois, static_cast<int64_t>(postings.size()));
     }
   }
 }
 
-TEST(GlobalInvertedIndexTest, UnknownKeywordHasNoEntries) {
+TEST(LivePoiViewQueryCellListTest, UnknownKeywordHasNoEntries) {
   std::vector<Poi> pois(1);
   pois[0].position = Point{0.5, 0.5};
   pois[0].keywords = KeywordSet({0});
@@ -48,9 +59,9 @@ TEST(GlobalInvertedIndexTest, UnknownKeywordHasNoEntries) {
   // A query mixing known and unknown keywords aggregates only the known
   // ones instead of failing.
   std::vector<GlobalInvertedIndex::Entry> known =
-      index.BuildQueryCellList(KeywordSet({0}), grid);
+      QueryCellList(KeywordSet({0}), grid, index);
   std::vector<GlobalInvertedIndex::Entry> mixed =
-      index.BuildQueryCellList(KeywordSet({0, 12345}), grid);
+      QueryCellList(KeywordSet({0, 12345}), grid, index);
   EXPECT_EQ(known, mixed);
 }
 
@@ -67,14 +78,14 @@ TEST(GlobalInvertedIndexTest, CoversEveryCellContainingKeyword) {
       listed.insert(entry.cell);
     }
     for (CellId cell : grid.NonEmptyCells()) {
-      bool has = grid.FindPostings(cell, keyword) != nullptr;
+      bool has = !grid.Cell(cell).FindPostings(keyword).empty();
       EXPECT_EQ(listed.count(cell) > 0, has);
     }
   }
 }
 
-// |P_Psi(c)| of Algorithm 1 line 2 must upper-bound the true relevant
-// count and never exceed |P_c|.
+// |P_Psi(c)| of Algorithm 1 line 2 (LivePoiView::BuildQueryCellList)
+// must upper-bound the true relevant count and never exceed |P_c|.
 class QueryCellListProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueryCellListProperty, BoundsTrueRelevantCount) {
@@ -91,7 +102,7 @@ TEST_P(QueryCellListProperty, BoundsTrueRelevantCount) {
       q.push_back(static_cast<KeywordId>(rng.UniformInt(0, 5)));
     }
     KeywordSet query(q);
-    auto list = index.BuildQueryCellList(query, grid);
+    auto list = QueryCellList(query, grid, index);
     // Sorted decreasingly.
     for (size_t i = 1; i < list.size(); ++i) {
       EXPECT_GE(list[i - 1].num_pois, list[i].num_pois);
@@ -116,7 +127,7 @@ TEST_P(QueryCellListProperty, BoundsTrueRelevantCount) {
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryCellListProperty,
                          ::testing::Values(5, 6, 7, 8));
 
-TEST(GlobalInvertedIndexTest, SingleKeywordQueryListEqualsEntries) {
+TEST(LivePoiViewQueryCellListTest, SingleKeywordQueryListEqualsEntries) {
   Vocabulary vocabulary;
   Rng rng(3);
   std::vector<Poi> pois =
@@ -124,7 +135,7 @@ TEST(GlobalInvertedIndexTest, SingleKeywordQueryListEqualsEntries) {
   PoiGridIndex grid(TestBox(), 0.3, pois);
   GlobalInvertedIndex index(grid);
   KeywordId keyword = 0;
-  auto list = index.BuildQueryCellList(KeywordSet({keyword}), grid);
+  auto list = QueryCellList(KeywordSet({keyword}), grid, index);
   const auto& entries = index.Entries(keyword);
   ASSERT_EQ(list.size(), entries.size());
   for (size_t i = 0; i < list.size(); ++i) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -21,9 +22,14 @@ TEST(PoiGridIndexTest, BucketsAllPois) {
   for (CellId cell : index.NonEmptyCells()) {
     total += index.NumPoisInCell(cell);
     // Every POI listed in the cell really falls in the cell's box.
-    for (PoiId id : index.FindCell(cell)->pois) {
-      EXPECT_TRUE(index.geometry().CellBox(cell).Contains(
-          pois[static_cast<size_t>(id)].position));
+    const PoiCellView bucket = index.Cell(cell);
+    for (size_t slot = 0; slot < bucket.size(); ++slot) {
+      const Poi& poi = pois[static_cast<size_t>(bucket.ids[slot])];
+      EXPECT_TRUE(index.geometry().CellBox(cell).Contains(poi.position));
+      // The struct-of-arrays columns carry the POI's exact data.
+      EXPECT_EQ(bucket.x[slot], poi.position.x);
+      EXPECT_EQ(bucket.y[slot], poi.position.y);
+      EXPECT_EQ(bucket.w[slot], poi.weight);
     }
   }
   EXPECT_EQ(total, 500);
@@ -36,45 +42,62 @@ TEST(PoiGridIndexTest, PostingListsSortedAndComplete) {
       testing_util::RandomPois(TestBox(), 300, 10, &vocabulary, &rng);
   PoiGridIndex index(TestBox(), 0.25, pois);
   for (CellId cell : index.NonEmptyCells()) {
-    const PoiGridIndex::Cell* bucket = index.FindCell(cell);
-    ASSERT_NE(bucket, nullptr);
+    const PoiCellView bucket = index.Cell(cell);
+    ASSERT_FALSE(bucket.empty());
+    // Ids ascend; the directory ascends and has no empty list.
+    for (size_t i = 1; i < bucket.size(); ++i) {
+      EXPECT_LT(bucket.ids[i - 1], bucket.ids[i]);
+    }
+    for (size_t j = 0; j < bucket.keywords.size(); ++j) {
+      if (j > 0) {
+        EXPECT_LT(bucket.keywords[j - 1], bucket.keywords[j]);
+      }
+      EXPECT_FALSE(bucket.Postings(j).empty());
+    }
     // Each posting list is ascending and its POIs carry the keyword.
-    for (const auto& [keyword, postings] : bucket->postings) {
+    for (size_t j = 0; j < bucket.keywords.size(); ++j) {
+      Span<uint32_t> postings = bucket.Postings(j);
       for (size_t i = 0; i < postings.size(); ++i) {
         if (i > 0) {
           EXPECT_LT(postings[i - 1], postings[i]);
         }
-        EXPECT_TRUE(pois[static_cast<size_t>(postings[i])]
-                        .keywords.Contains(keyword));
+        ASSERT_LT(postings[i], bucket.size());
+        EXPECT_TRUE(pois[static_cast<size_t>(bucket.ids[postings[i]])]
+                        .keywords.Contains(bucket.keywords[j]));
       }
     }
     // Every (poi, keyword) pair in the cell appears in a posting list.
-    for (PoiId id : bucket->pois) {
+    for (uint32_t slot = 0; slot < bucket.size(); ++slot) {
       for (KeywordId keyword :
-           pois[static_cast<size_t>(id)].keywords.ids()) {
-        auto it = bucket->postings.find(keyword);
-        ASSERT_NE(it, bucket->postings.end());
-        EXPECT_TRUE(std::binary_search(it->second.begin(), it->second.end(),
-                                       id));
+           pois[static_cast<size_t>(bucket.ids[slot])].keywords.ids()) {
+        Span<uint32_t> postings = bucket.FindPostings(keyword);
+        ASSERT_FALSE(postings.empty());
+        EXPECT_TRUE(
+            std::binary_search(postings.begin(), postings.end(), slot));
       }
     }
   }
 }
 
-TEST(PoiGridIndexTest, FindCellReturnsNullForEmptyCell) {
+TEST(PoiGridIndexTest, EmptyCellHasEmptyView) {
   std::vector<Poi> pois(1);
   pois[0].position = Point{0.05, 0.05};
   pois[0].keywords = KeywordSet({1});
+  pois[0].weight = 2.5;
   PoiGridIndex index(TestBox(), 0.1, pois);
-  EXPECT_NE(index.FindCell(index.geometry().CellOf(Point{0.05, 0.05})),
-            nullptr);
-  EXPECT_EQ(index.FindCell(index.geometry().CellOf(Point{0.95, 0.95})),
-            nullptr);
-  EXPECT_EQ(index.NumPoisInCell(index.geometry().CellOf(Point{0.95, 0.95})),
-            0);
-  EXPECT_EQ(index.FindPostings(index.geometry().CellOf(Point{0.95, 0.95}),
-                               1),
-            nullptr);
+  const PoiCellView full =
+      index.Cell(index.geometry().CellOf(Point{0.05, 0.05}));
+  EXPECT_EQ(full.size(), 1u);
+  EXPECT_EQ(full.total_weight, 2.5);
+  EXPECT_EQ(full.FindPostings(1).size(), 1u);
+  EXPECT_TRUE(full.FindPostings(2).empty());
+  const CellId empty_cell = index.geometry().CellOf(Point{0.95, 0.95});
+  const PoiCellView empty = index.Cell(empty_cell);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(empty.keywords.empty());
+  EXPECT_EQ(empty.total_weight, 0.0);
+  EXPECT_EQ(index.NumPoisInCell(empty_cell), 0);
+  EXPECT_TRUE(empty.FindPostings(1).empty());
 }
 
 // Multi-keyword merge: a POI carrying several query keywords must be
@@ -92,8 +115,11 @@ TEST(PoiGridIndexTest, MergeCountsEachPoiOnce) {
   EXPECT_EQ(index.CountRelevantInCell(cell, query), 3);
 
   std::vector<PoiId> seen;
-  index.ForEachRelevantInCell(cell, query,
-                              [&](PoiId id) { seen.push_back(id); });
+  const PoiCellView bucket = index.Cell(cell);
+  std::vector<PostingCursor> cursors;
+  MergeRelevantInCell(bucket, query, &cursors, [&](uint32_t slot) {
+    seen.push_back(bucket.ids[slot]);
+  });
   EXPECT_EQ(seen, (std::vector<PoiId>{0, 1, 2}));  // Ascending, unique.
 }
 
@@ -115,7 +141,7 @@ TEST_P(PoiGridRelevanceProperty, CountMatchesBruteForcePerCell) {
     KeywordSet query(q);
     for (CellId cell : index.NonEmptyCells()) {
       int64_t expected = 0;
-      for (PoiId id : index.FindCell(cell)->pois) {
+      for (PoiId id : index.Cell(cell).ids) {
         if (pois[static_cast<size_t>(id)].IsRelevantTo(query)) ++expected;
       }
       EXPECT_EQ(index.CountRelevantInCell(cell, query), expected);

@@ -90,15 +90,15 @@ TEST(WeightedSoiTest, GlobalIndexWeightSumsMatchPostings) {
   for (KeywordId keyword = 0; keyword < instance.vocabulary.size();
        ++keyword) {
     for (const auto& entry : instance.global_index.Entries(keyword)) {
-      const std::vector<PoiId>* postings =
-          instance.grid.FindPostings(entry.cell, keyword);
-      ASSERT_NE(postings, nullptr);
+      const PoiCellView bucket = instance.grid.Cell(entry.cell);
+      Span<uint32_t> postings = bucket.FindPostings(keyword);
+      ASSERT_FALSE(postings.empty());
       double weight = 0.0;
-      for (PoiId id : *postings) {
-        weight += instance.pois[static_cast<size_t>(id)].weight;
+      for (uint32_t slot : postings) {
+        weight += instance.pois[static_cast<size_t>(bucket.ids[slot])].weight;
       }
       EXPECT_DOUBLE_EQ(entry.weight, weight);
-      EXPECT_EQ(entry.num_pois, static_cast<int64_t>(postings->size()));
+      EXPECT_EQ(entry.num_pois, static_cast<int64_t>(postings.size()));
     }
   }
 }

@@ -39,6 +39,14 @@ nested-vector Grid-index headers (src/grid/*.h) must not declare
               store flat CSR arenas (common/csr.h), and a nested-vector
               member reintroduces the per-row heap blocks the layout
               work removed. Build-time staging in .cc files is fine.
+hash-of-vectors
+              Grid-index headers (src/grid/*.h) must not declare
+              std::unordered_map<K, std::vector<...>> members: a hash
+              node plus a heap block per key is the layout the flat
+              cell-grouped PoiGridIndex replaced (hundreds of thousands
+              of nodes on a city). Serving indexes keep per-key lists in
+              flat arenas. The photo grid and the generic PointGrid are
+              off the serving path and allowlisted by name.
 lock-hygiene  No raw std::mutex / std::lock_guard / std::unique_lock /
               std::scoped_lock / std::condition_variable (or the shared/
               timed/recursive variants) outside common/mutex.h: all
@@ -94,6 +102,7 @@ RULE_SCOPE = {
     "naked-new": ("src",),
     "unchecked-io": ("src/serve",),
     "nested-vector": ("src/grid",),
+    "hash-of-vectors": ("src/grid",),
     "lock-hygiene": ("src",),
 }
 
@@ -102,6 +111,7 @@ RULE_SCOPE = {
 # every source file in their scope.
 RULE_FILE_GLOB = {
     "nested-vector": "*.h",
+    "hash-of-vectors": "*.h",
 }
 
 # Per-rule path allowlist (fnmatch globs against the /-separated path
@@ -116,6 +126,12 @@ ALLOWLIST = {
     "naked-new": [],
     "unchecked-io": [],
     "nested-vector": [],
+    # Off the serving path: the diversification photo grid and the
+    # generic point bucketing grid.
+    "hash-of-vectors": [
+        "src/grid/photo_grid_index.h",
+        "src/grid/point_grid.h",
+    ],
     # mutex.h is the blessed wrapper; lock_graph.{h,cc} implement the
     # detector it reports into and must not instrument themselves.
     "lock-hygiene": [
@@ -162,6 +178,12 @@ RULE_PATTERNS = {
         r"^\s*(?:\(void\)\s*)?(?:::)?(?:send|recv|read|write)\s*\("
     ),
     "nested-vector": re.compile(r"std::\s*vector\s*<\s*std::\s*vector\s*<"),
+    # The mapped type itself is a vector (a key type may carry one level
+    # of template arguments); a map to shared_ptr<vector> does not match.
+    "hash-of-vectors": re.compile(
+        r"std::\s*unordered_map\s*<\s*[\w:]+(?:\s*<[^<>]*>)?\s*,"
+        r"\s*std::\s*vector\s*<"
+    ),
     "lock-hygiene": re.compile(
         r"std::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex"
         r"|shared_mutex|shared_timed_mutex|lock_guard|scoped_lock"
@@ -196,6 +218,11 @@ RULE_MESSAGES = {
         "nested-vector storage in a grid-index header; serving indexes "
         "use flat CSR arenas (common/csr.h) — stage nested rows only in "
         "the .cc build path"
+    ),
+    "hash-of-vectors": (
+        "hash map of vectors in a grid-index header; serving indexes keep "
+        "per-key lists in flat arenas (see PoiGridIndex), not a hash node "
+        "and a heap block per key"
     ),
     "lock-hygiene": (
         "raw std:: synchronization primitive; lock through soi::Mutex / "

@@ -40,6 +40,7 @@ class TextRuleTest(unittest.TestCase):
         ("bad_naked_new.cc", "naked-new", 5),
         ("bad_unchecked_io.cc", "unchecked-io", 8),
         ("bad_nested_vector.h", "nested-vector", 10),
+        ("bad_hash_of_vectors.h", "hash-of-vectors", 13),
         ("bad_lock_hygiene.cc", "lock-hygiene", 5),
     ]
 
@@ -67,6 +68,24 @@ class TextRuleTest(unittest.TestCase):
         # RULE_FILE_GLOB limits nested-vector to *.h: the same pattern in
         # a .cc build path is the blessed staging idiom and must not fire.
         self.assertEqual(lint_fixture("good_nested_vector.cc"), [])
+
+    def test_hash_of_vectors_allowlist_is_live(self):
+        # Each allowlisted holder really declares a hash map of vectors
+        # (so the allowlist is not stale), and nothing else in src/grid
+        # does.
+        allowed = soi_lint.ALLOWLIST["hash-of-vectors"]
+        self.assertEqual(
+            sorted(allowed),
+            ["src/grid/photo_grid_index.h", "src/grid/point_grid.h"],
+        )
+        soi_lint.ALLOWLIST["hash-of-vectors"] = []
+        try:
+            findings = soi_lint.run_text_rules(
+                ROOT, rules=["hash-of-vectors"]
+            )
+        finally:
+            soi_lint.ALLOWLIST["hash-of-vectors"] = allowed
+        self.assertEqual(sorted({f[0] for f in findings}), sorted(allowed))
 
     def test_allowlist_silences_a_fixture(self):
         rel = "tests/lint_fixtures/bad_determinism.cc"
