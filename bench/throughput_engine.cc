@@ -348,12 +348,11 @@ void WriteRunJson(JsonWriter* json, const EngineRun& run) {
         "soi.query.segments_finalized_in_refinement",
         "soi.query.poi_distance_checks", "soi.cache.builds",
         "soi.pool.tasks",
-        // Allocation / contention shape of the timed batch: scratch-arena
-        // reuse (created should be ~num_threads, reused everything else),
-        // coalesced duplicate queries, and how often the eps lookup had
-        // to take cache_mutex_ (0 on a warm cache = contention-free).
+        // Allocation shape of the timed batch: scratch-arena reuse
+        // (created should be ~num_threads, reused everything else) and
+        // coalesced duplicate queries.
         "soi.scratch.created", "soi.scratch.reused",
-        "soi.engine.batch_coalesced", "soi.cache.locked_path",
+        "soi.engine.batch_coalesced",
         // Serving-path failure counters (DESIGN.md "Failure model") —
         // all zero in this healthy unbounded workload, recorded so a
         // regression that starts shedding or timing out is visible in

@@ -136,52 +136,19 @@ QueryEngine::QueryEngine(
     for (std::shared_ptr<const EpsAugmentedMaps>& maps : preloaded) {
       SOI_CHECK(maps != nullptr) << "warm start: null preloaded maps";
       double eps = maps->eps();
-      std::promise<MapsPayload> promise;
+      // A completed entry needs no future: lookups return ready_maps.
       CacheEntry entry;
-      entry.maps = promise.get_future().share();
-      entry.ready_maps = maps;
-      promise.set_value(MapsPayload{std::move(maps), Status::OK()});
-      entry.last_used = std::make_shared<std::atomic<uint64_t>>(
-          cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1);
+      entry.ready_maps = std::move(maps);
+      entry.last_used = ++cache_tick_;
       entry.id = ++next_entry_id_;
       bool inserted = cache_.emplace(eps, std::move(entry)).second;
       SOI_CHECK(inserted) << "warm start: duplicate preloaded eps="
                           << FormatDouble(eps);
     }
-    RebuildHitTableLocked();
     cache_size_after = cache_.size();
   }
   SOI_OBS_GAUGE_SET("soi.cache.size",
                     static_cast<int64_t>(cache_size_after));
-}
-
-void QueryEngine::RebuildHitTableLocked() {
-  auto table = std::make_unique<HitTable>();
-  table->reserve(cache_.size());
-  for (const auto& [eps, entry] : cache_) {
-    if (entry.ready_maps == nullptr) continue;  // still building
-    table->emplace(eps, HitEntry{entry.ready_maps, entry.last_used});
-  }
-  hit_table_.store(table.get(), std::memory_order_seq_cst);
-  hit_table_storage_.push_back(std::move(table));
-  // Grace-period reclamation. Every reader increments hit_readers_
-  // (seq_cst) *before* loading hit_table_ (seq_cst); we stored the new
-  // generation (seq_cst) before loading the counter (seq_cst). So in the
-  // single total order on seq_cst operations, a reader not visible in
-  // the counter here either finished (its release decrement
-  // happens-before this load, so its table use is done) or has not yet
-  // loaded the pointer — and will then observe this store or a later
-  // one, never a retired generation. Observing 0 therefore proves no
-  // reader can reach any generation but the newest. If readers are in
-  // flight, retired generations simply survive until a later rebuild
-  // observes quiescence.
-  if (hit_table_storage_.size() > 1 &&
-      hit_readers_.load(std::memory_order_seq_cst) == 0) {
-    std::unique_ptr<const HitTable> current =
-        std::move(hit_table_storage_.back());
-    hit_table_storage_.clear();
-    hit_table_storage_.push_back(std::move(current));
-  }
 }
 
 QueryEngine::~QueryEngine() = default;
@@ -200,68 +167,34 @@ std::shared_ptr<const EpsAugmentedMaps> QueryEngine::GetMaps(double eps) {
 Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
     double eps, const CancellationToken* cancel, bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
-  // Contention-free hit path: resolve against the read-mostly snapshot
-  // of completed entries. In the steady state (the cache warmed to the
-  // serving eps values) every query takes this branch and the batch
-  // threads never serialize on cache_mutex_. A hit racing an eviction
-  // may resolve against the just-evicted snapshot — the maps stay alive
-  // through the shared_ptr, so this only blurs LRU recency by one tick.
-  {
-    // Wait-free reader registration: the increment must precede the
-    // pointer load (both seq_cst) for the grace-period argument in
-    // RebuildHitTableLocked to hold. The shared_ptr is copied out of the
-    // table before deregistering, so the maps outlive any reclamation.
-    hit_readers_.fetch_add(1, std::memory_order_seq_cst);
-    const HitTable* table = hit_table_.load(std::memory_order_seq_cst);
-    std::shared_ptr<const EpsAugmentedMaps> maps;
-    if (table != nullptr) {
-      auto hit = table->find(eps);
-      if (hit != table->end()) {
-        hit->second.last_used->store(
-            cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-        maps = hit->second.maps;
-      }
-    }
-    hit_readers_.fetch_sub(1, std::memory_order_release);
-    if (maps != nullptr) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      SOI_OBS_COUNTER_ADD("soi.cache.hits", 1);
-      if (cache_hit != nullptr) *cache_hit = true;
-      return maps;
-    }
-  }
-
   // Bounded retry: a waiter that observes a peer's failed build loops
   // around and — the failed entry having been evicted by its builder —
   // typically becomes the new builder. The bound only guards against a
   // pathological fault plan failing every rebuild.
   constexpr int kMaxAttempts = 8;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    std::promise<MapsPayload> promise;
+    std::shared_ptr<const EpsAugmentedMaps> ready;
     MapsFuture future;
+    // Engaged only on a miss: a hit constructs no promise.
+    std::optional<std::promise<MapsPayload>> promise;
+    // The evicted entry, destroyed after cache_mutex_ is released so a
+    // multi-MB EpsAugmentedMaps is never freed inside the lock.
+    std::optional<CacheEntry> evicted;
     uint64_t my_id = 0;
-    bool builder = false;
-    bool hit = false;
-    bool evicted = false;
     [[maybe_unused]] size_t cache_size_after = 0;
-    uint64_t tick = cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Contention proxy for the bench: how often the serving path had to
-    // take cache_mutex_ at all (0 per batch once the cache is warm).
-    SOI_OBS_COUNTER_ADD("soi.cache.locked_path", 1);
     {
-      // Critical section: map bookkeeping only (cache_mutex_ is a leaf
-      // lock — see query_engine.h); counters and gauges are emitted
-      // after release.
+      // The one critical section: map bookkeeping only (cache_mutex_ is
+      // a leaf lock — see query_engine.h); counters and gauges are
+      // emitted after release.
       MutexLock lock(cache_mutex_);
       auto it = cache_.find(eps);
       if (it != cache_.end()) {
-        // In-flight entry (completed ones resolve lock-free above, but
-        // an entry completed between the snapshot load and here also
-        // lands in this branch — both count as hits).
-        hit = true;
-        it->second.last_used->store(tick, std::memory_order_relaxed);
-        future = it->second.maps;
+        it->second.last_used = ++cache_tick_;
+        if (it->second.ready_maps != nullptr) {
+          ready = it->second.ready_maps;  // completed: a hit
+        } else {
+          future = it->second.maps;  // in flight: a hit that waits
+        }
       } else {
         if (cache_.size() >= options_.eps_cache_capacity) {
           // LRU among *completed* entries only: evicting an in-flight
@@ -274,54 +207,54 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
           auto victim = cache_.end();
           for (auto entry = cache_.begin(); entry != cache_.end();
                ++entry) {
-            if (entry->second.building) continue;
+            if (entry->second.ready_maps == nullptr) continue;
             if (victim == cache_.end() ||
-                entry->second.last_used->load(std::memory_order_relaxed) <
-                    victim->second.last_used->load(
-                        std::memory_order_relaxed)) {
+                entry->second.last_used < victim->second.last_used) {
               victim = entry;
             }
           }
           if (victim != cache_.end()) {
-            cache_.erase(victim);  // holders keep maps via their shared_ptr
-            RebuildHitTableLocked();
-            evicted = true;
+            evicted.emplace(std::move(victim->second));
+            cache_.erase(victim);
           }
         }
+        promise.emplace();
+        future = promise->get_future().share();
         my_id = ++next_entry_id_;
-        future = promise.get_future().share();
         CacheEntry entry;
         entry.maps = future;
-        entry.last_used = std::make_shared<std::atomic<uint64_t>>(tick);
+        entry.last_used = ++cache_tick_;
         entry.id = my_id;
-        entry.building = true;
         cache_.emplace(eps, std::move(entry));
-        builder = true;
         cache_size_after = cache_.size();
       }
     }
-    if (hit) {
+    const bool did_evict = evicted.has_value();
+    evicted.reset();
+
+    if (!promise.has_value()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       SOI_OBS_COUNTER_ADD("soi.cache.hits", 1);
-    } else {
-      cache_misses_.fetch_add(1, std::memory_order_relaxed);
-      SOI_OBS_COUNTER_ADD("soi.cache.misses", 1);
-      if (evicted) {
-        cache_evictions_.fetch_add(1, std::memory_order_relaxed);
-        SOI_OBS_COUNTER_ADD("soi.cache.evictions", 1);
+      if (ready != nullptr) {
+        if (cache_hit != nullptr) *cache_hit = true;
+        return ready;
       }
-      SOI_OBS_GAUGE_SET("soi.cache.size",
-                        static_cast<int64_t>(cache_size_after));
-    }
-
-    if (!builder) {
-      MapsPayload payload = future.get();  // may block on build in flight
+      MapsPayload payload = future.get();  // blocks on the build in flight
       if (payload.status.ok()) {
         if (cache_hit != nullptr) *cache_hit = true;
         return payload.maps;
       }
       continue;  // peer's build failed and was evicted; retry
     }
+
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    SOI_OBS_COUNTER_ADD("soi.cache.misses", 1);
+    if (did_evict) {
+      cache_evictions_.fetch_add(1, std::memory_order_relaxed);
+      SOI_OBS_COUNTER_ADD("soi.cache.evictions", 1);
+    }
+    SOI_OBS_GAUGE_SET("soi.cache.size",
+                      static_cast<int64_t>(cache_size_after));
 
     // Build outside the lock so other eps values proceed concurrently;
     // same-eps requesters block on the shared future instead of
@@ -347,43 +280,28 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
           std::string("eps augmentation build failed: ") + e.what());
     }
 
-    if (!payload.status.ok()) {
-      // Evict our own entry BEFORE publishing the failure, so a waiter
-      // that wakes on the failed payload retries against a clean slot.
-      // The id check keeps a healthy replacement entry (raced in after
-      // our eviction by a retrying waiter) untouched. No hit-table
-      // republish: an in-flight entry was never in the snapshot.
-      [[maybe_unused]] size_t size_after = 0;
-      bool erased = false;
-      {
-        MutexLock lock(cache_mutex_);
-        auto it = cache_.find(eps);
-        if (it != cache_.end() && it->second.id == my_id) {
-          cache_.erase(it);
-          erased = true;
-          size_after = cache_.size();
-        }
-      }
-      if (erased) {
-        SOI_OBS_GAUGE_SET("soi.cache.size",
-                          static_cast<int64_t>(size_after));
-      }
-    } else {
-      // Mark the build complete BEFORE publishing the value: once
-      // waiters can see the payload the entry must already be a normal
-      // evictable cache resident — and in the lock-free hit snapshot.
-      // The id check is defensive — eviction skips in-flight entries
-      // and only this builder erases its own, so the entry is still
-      // ours here.
+    // Settle our entry BEFORE publishing the payload. On failure it is
+    // evicted, so a waiter that wakes on the failed payload retries
+    // against a clean slot; on success it becomes a completed,
+    // evictable resident. The id check keeps a healthy replacement
+    // entry (raced in after our eviction by a retrying waiter)
+    // untouched; on success it is defensive — eviction skips in-flight
+    // entries and only this builder erases its own.
+    {
       MutexLock lock(cache_mutex_);
       auto it = cache_.find(eps);
       if (it != cache_.end() && it->second.id == my_id) {
-        it->second.building = false;
-        it->second.ready_maps = payload.maps;
-        RebuildHitTableLocked();
+        if (payload.status.ok()) {
+          it->second.ready_maps = payload.maps;
+        } else {
+          cache_.erase(it);
+        }
       }
+      cache_size_after = cache_.size();
     }
-    promise.set_value(payload);
+    SOI_OBS_GAUGE_SET("soi.cache.size",
+                      static_cast<int64_t>(cache_size_after));
+    promise->set_value(payload);
     if (payload.status.ok()) return payload.maps;
     return payload.status;  // the builder reports its own failure
   }
@@ -435,6 +353,22 @@ Result<SoiResult> QueryEngine::TryRunCounted(const SoiQuery& query,
   return result;
 }
 
+Status QueryEngine::Admit() {
+  int64_t inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight);
+  if (options_.max_inflight_queries == 0 ||
+      inflight <= static_cast<int64_t>(options_.max_inflight_queries)) {
+    return Status::OK();
+  }
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight - 1);
+  SOI_OBS_COUNTER_ADD("soi.engine.shed", 1);
+  return Status::ResourceExhausted(
+      "query shed: " + std::to_string(inflight) +
+      " in-flight queries exceeds max_inflight_queries=" +
+      std::to_string(options_.max_inflight_queries));
+}
+
 Result<SoiResult> QueryEngine::TryRunInternal(
     const SoiQuery& query, const CancellationToken& cancel,
     obs::QueryRecord* record, bool preadmitted) {
@@ -447,18 +381,8 @@ Result<SoiResult> QueryEngine::TryRunInternal(
   // group) already charged one slot per logical query it represents.
   std::optional<InflightGuard> guard;
   if (!preadmitted) {
-    int64_t inflight =
-        inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight);
+    SOI_RETURN_NOT_OK(Admit());
     guard.emplace(&inflight_);
-    if (options_.max_inflight_queries > 0 &&
-        inflight > static_cast<int64_t>(options_.max_inflight_queries)) {
-      SOI_OBS_COUNTER_ADD("soi.engine.shed", 1);
-      return Status::ResourceExhausted(
-          "query shed: " + std::to_string(inflight) +
-          " in-flight queries exceeds max_inflight_queries=" +
-          std::to_string(options_.max_inflight_queries));
-    }
   }
 
   SOI_TRACE_SPAN("engine.query");
@@ -602,61 +526,29 @@ std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
             results[idx] = TryRun(queries[idx], cancel);
             return;
           }
-          // Coalesced group under a bounded engine: admission control is
-          // per *logical query* — each duplicate occupies one in-flight
-          // slot for the duration of the shared evaluation, exactly as
-          // if it had been submitted alone. Slots are claimed in input
-          // order; a member that finds the engine full is shed
-          // individually while admitted members still share the one
-          // evaluation.
-          std::vector<char> shed;
-          size_t num_admitted = group.size();
-          if (options_.max_inflight_queries > 0) {
-            shed.assign(group.size(), 0);
-            num_admitted = 0;
-            for (size_t g = 0; g < group.size(); ++g) {
-              int64_t inflight =
-                  inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-              SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight);
-              if (inflight > static_cast<int64_t>(
-                                 options_.max_inflight_queries)) {
-                inflight_.fetch_sub(1, std::memory_order_relaxed);
-                shed[g] = 1;
-                SOI_OBS_COUNTER_ADD("soi.engine.shed", 1);
-              } else {
-                ++num_admitted;
-              }
-            }
+          // Coalesced group: admission control is per *logical query* —
+          // each member claims its own in-flight slot, in input order, for
+          // the duration of the shared evaluation, exactly as if it had
+          // been submitted alone. A member that finds the engine full is
+          // shed individually (its slot released before the next member
+          // tries) while admitted members still share the one evaluation.
+          std::vector<Status> admission;
+          admission.reserve(group.size());
+          int64_t num_admitted = 0;
+          for (size_t g = 0; g < group.size(); ++g) {
+            admission.push_back(Admit());
+            if (admission.back().ok()) ++num_admitted;
           }
-          Result<SoiResult> eval = Result<SoiResult>(
-              Status::ResourceExhausted(
-                  "query shed: coalesced batch group exceeds "
-                  "max_inflight_queries=" +
-                  std::to_string(options_.max_inflight_queries)));
+          std::optional<Result<SoiResult>> eval;
           if (num_admitted > 0) {
-            // preadmitted when this group claimed slots above.
-            eval = TryRunCounted(queries[idx], cancel,
-                                 /*preadmitted=*/!shed.empty());
-          }
-          if (!shed.empty() && num_admitted > 0) {
-            inflight_.fetch_sub(static_cast<int64_t>(num_admitted),
-                                std::memory_order_relaxed);
-            SOI_OBS_GAUGE_SET(
-                "soi.engine.inflight",
-                inflight_.load(std::memory_order_relaxed));
+            eval = TryRunCounted(queries[idx], cancel, /*preadmitted=*/true);
+            inflight_.fetch_sub(num_admitted, std::memory_order_relaxed);
+            SOI_OBS_GAUGE_SET("soi.engine.inflight",
+                              inflight_.load(std::memory_order_relaxed));
           }
           for (size_t g = 0; g < group.size(); ++g) {
-            if (!shed.empty() && shed[g]) {
-              results[static_cast<size_t>(group[g])] =
-                  Result<SoiResult>(Status::ResourceExhausted(
-                      "query shed: " +
-                      std::to_string(options_.max_inflight_queries) +
-                      " in-flight queries exceeds "
-                      "max_inflight_queries=" +
-                      std::to_string(options_.max_inflight_queries)));
-            } else {
-              results[static_cast<size_t>(group[g])] = eval;
-            }
+            results[static_cast<size_t>(group[g])] =
+                admission[g].ok() ? *eval : Result<SoiResult>(admission[g]);
           }
         });
   } catch (const std::exception&) {
@@ -691,9 +583,7 @@ std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
 }
 
 size_t QueryEngine::cache_size() const {
-  // Test/diagnostic hook. Must count in-flight entries too, so it reads
-  // cache_ (not the completed-only hit snapshot); the critical section
-  // is a single size() read.
+  // Test/diagnostic hook; counts in-flight entries too.
   MutexLock lock(cache_mutex_);
   return cache_.size();
 }

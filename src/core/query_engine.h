@@ -60,9 +60,10 @@ struct QueryEngineOptions {
 
   /// Live-ingest integration (grid/live_poi_view.h): when set, every
   /// admitted query pins one epoch from this source for its whole
-  /// evaluation — Pin() is wait-free, the pinned snapshot is released
-  /// when the query finishes, and the query's POI reads all see that
-  /// epoch's index state. Null (default) = the static indexes the
+  /// evaluation — Pin() copies a shared_ptr under a short leaf lock and
+  /// never waits on the writer, the pinned snapshot is released when the
+  /// query finishes, and the query's POI reads all see that epoch's
+  /// index state. Null (default) = the static indexes the
   /// engine was constructed over. Not owned; must outlive the engine.
   /// Overrides algorithm.live_view per query when set.
   const PoiEpochSource* epoch_source = nullptr;
@@ -182,10 +183,9 @@ class QueryEngine {
 
   /// The memoized eps augmentation for `eps`, building (and caching) it
   /// on first use. Concurrent requests for the same eps share one build.
-  /// A hit on a completed entry is contention-free: it resolves against a
-  /// read-mostly snapshot of the completed-entry table without touching
-  /// cache_mutex_ (see hit_table_ below). Fatal on a failed build;
-  /// serving paths use TryGetMaps.
+  /// Every lookup takes cache_mutex_ once, for a find, an LRU stamp and
+  /// a shared_ptr copy; builds and waits run outside it. Fatal on a
+  /// failed build; serving paths use TryGetMaps.
   std::shared_ptr<const EpsAugmentedMaps> GetMaps(double eps)
       SOI_EXCLUDES(cache_mutex_);
 
@@ -194,7 +194,7 @@ class QueryEngine {
   /// kDeadlineExceeded / kInternal, after the failed entry has been
   /// evicted so later requests rebuild from scratch. When `cache_hit`
   /// is non-null it reports whether the lookup resolved without this
-  /// call building (fast-path hit or a wait on an in-flight entry) —
+  /// call building (a completed entry or a wait on an in-flight one) —
   /// the per-query flight-recorder view of soi.cache.hits/misses.
   [[nodiscard]] Result<std::shared_ptr<const EpsAugmentedMaps>> TryGetMaps(
       double eps, const CancellationToken* cancel = nullptr,
@@ -246,53 +246,27 @@ class QueryEngine {
   using MapsFuture = std::shared_future<MapsPayload>;
 
   struct CacheEntry {
+    /// Resolves when the build finishes; waited on (outside
+    /// cache_mutex_) only while ready_maps is still null.
     MapsFuture maps;
-    /// Set under cache_mutex_ once the build has succeeded; non-null is
-    /// the "completed" signal RebuildHitTableLocked keys on (it must
-    /// never block on the future while holding the lock).
+    /// Set under cache_mutex_ once the build has succeeded. Null exactly
+    /// while the build is in flight; in-flight entries are exempt from
+    /// eviction (see QueryEngineOptions::eps_cache_capacity), and a
+    /// failed builder erases its own entry.
     std::shared_ptr<const EpsAugmentedMaps> ready_maps;
-    /// LRU clock, shared with the hit-table snapshot so contention-free
-    /// hits keep the recency the evictor reads. Heap-allocated because
-    /// the snapshot may outlive the cache entry across an eviction.
-    std::shared_ptr<std::atomic<uint64_t>> last_used;
+    /// LRU stamp from cache_tick_, refreshed on every lookup.
+    uint64_t last_used = 0;
     /// Distinguishes this entry from any later entry for the same eps,
     /// so a failed builder evicts only its own entry (never a healthy
     /// replacement raced in by a retrying waiter).
     uint64_t id = 0;
-    /// True while the builder is still producing the future's value.
-    /// In-flight entries are exempt from eviction (see
-    /// QueryEngineOptions::eps_cache_capacity); the builder clears the
-    /// flag under cache_mutex_ on success, and erases the entry on
-    /// failure.
-    bool building = false;
   };
 
-  /// The contention-free hit path: an immutable map of the *completed*
-  /// cache entries, republished copy-on-write whenever that set changes
-  /// — build completion, eviction, warm-start preload. A hit registers
-  /// itself in hit_readers_, loads the current generation pointer, looks
-  /// up eps, bumps the shared LRU clock, and returns — wait-free, no
-  /// mutex. Misses and in-flight entries fall through to the locked slow
-  /// path. A lookup racing an eviction may still hit the just-retired
-  /// generation; the maps stay alive through the HitEntry shared_ptr and
-  /// the counters tolerate the blur (see cache_stats()).
-  ///
-  /// Why not std::atomic<std::shared_ptr>: libstdc++'s _Sp_atomic
-  /// releases its embedded spinlock with a *relaxed* RMW, so its plain
-  /// control-block accesses carry no happens-before edge — formally a
-  /// data race, and TSan reports it. Publication here uses a plain
-  /// atomic pointer instead, with generation ownership kept in
-  /// hit_table_storage_ under cache_mutex_ and retired generations
-  /// reclaimed only after hit_readers_ is observed at zero (see
-  /// RebuildHitTableLocked for the seq_cst argument).
-  struct HitEntry {
-    std::shared_ptr<const EpsAugmentedMaps> maps;
-    std::shared_ptr<std::atomic<uint64_t>> last_used;
-  };
-  using HitTable = std::unordered_map<double, HitEntry>;
-
-  /// Republishes hit_table_ from the completed entries of cache_.
-  void RebuildHitTableLocked() SOI_REQUIRES(cache_mutex_);
+  /// Admission control: claims one in-flight slot. Returns OK with the
+  /// slot held (the caller releases it), or — when the claim raises the
+  /// count beyond max_inflight_queries — releases the slot again and
+  /// returns kResourceExhausted naming the count this claim observed.
+  Status Admit();
 
   /// TryRun with an explicit admission mode: the shared body behind the
   /// public TryRun (preadmitted = false, admission control inside) and
@@ -321,29 +295,19 @@ class QueryEngine {
   // Lock-ordering invariant: cache_mutex_ is a LEAF lock. While holding
   // it, the engine never submits pool work, never blocks on a future,
   // never runs user callbacks (build_observer runs before the build,
-  // outside the lock), and never takes another engine lock. Builds and
-  // observability exports happen outside the critical sections, which
-  // are limited to map bookkeeping.
+  // outside the lock), never takes another engine lock, and never frees
+  // maps (an evicted entry is moved out and destroyed after unlock).
+  // Builds and observability exports happen outside the critical
+  // sections, which are limited to map bookkeeping.
   mutable Mutex cache_mutex_{"core.QueryEngine.eps_cache",
                              lock_graph::kRankLeaf};
   std::unordered_map<double, CacheEntry> cache_ SOI_GUARDED_BY(cache_mutex_);
-  // Fast-path view: the current hit-table generation (null until the
-  // first entry completes). Points into hit_table_storage_, whose last
-  // element is the current generation and whose earlier elements are
-  // retired generations a concurrent reader may still be traversing.
-  std::atomic<const HitTable*> hit_table_{nullptr};
-  // Readers currently inside the fast-path lookup (wait-free guard for
-  // generation reclamation).
-  std::atomic<int64_t> hit_readers_{0};
-  std::vector<std::unique_ptr<const HitTable>> hit_table_storage_
-      SOI_GUARDED_BY(cache_mutex_);
-  // Monotone logical clock for LRU recency; atomic so lock-free hits can
-  // bump it without cache_mutex_.
-  std::atomic<uint64_t> cache_tick_{0};
+  // Monotone logical clock for LRU recency.
+  uint64_t cache_tick_ SOI_GUARDED_BY(cache_mutex_) = 0;
   uint64_t next_entry_id_ SOI_GUARDED_BY(cache_mutex_) = 0;
   // Queries currently inside TryRun (admission control).
   std::atomic<int64_t> inflight_{0};
-  // Updated under cache_mutex_ (writers), read lock-free by
+  // Bumped after each lookup's critical section, read lock-free by
   // cache_stats() (see its contract above).
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};

@@ -125,10 +125,10 @@ struct PoiEpochSnapshot {
   }
 };
 
-/// Where QueryEngine pins an epoch per query. Pin() is wait-free for
-/// readers (the ingest implementation mirrors the RCU-style hit-table of
-/// QueryEngine: atomic generation pointer + reader counter, never a
-/// lock) and the returned snapshot stays valid until released.
+/// Where QueryEngine pins an epoch per query. Pin() must be cheap and
+/// must never wait on a writer's batch build or compaction (the ingest
+/// implementation copies a shared_ptr under a short leaf lock); the
+/// returned snapshot stays valid until released.
 class PoiEpochSource {
  public:
   virtual ~PoiEpochSource() = default;

@@ -78,10 +78,12 @@ struct LiveWorldOptions {
 ///    ("ingest.compact" fault) publishes nothing; readers stay on the
 ///    old epoch and the overlay remains intact for a retry.
 ///  - Pin() (the PoiEpochSource implementation QueryEngine reads
-///    through) is wait-free and never blocks on the writer: the same
-///    atomic-generation-pointer + reader-counter RCU protocol as
-///    QueryEngine's eps hit table, with retired epochs reclaimed only
-///    after readers are observed quiescent.
+///    through) copies the current snapshot's shared_ptr under
+///    epoch_mutex_, a leaf lock held only for that copy or the
+///    publisher's swap — never across a batch build or compaction, so a
+///    pin never waits on the writer. A retired epoch (and any compacted
+///    arena it retains) is freed when the last query pinning it
+///    releases it.
 ///
 /// Correctness bar (asserted by tests/ingest_test.cc): after any
 /// interleaving of batches and compactions, queries over a pinned
@@ -96,7 +98,8 @@ struct LiveWorldOptions {
 /// compaction / snapshot time only.
 ///
 /// Thread-safe: ApplyBatch/Compact/Save serialize on the writer mutex;
-/// Pin() and the accessors never take it.
+/// Pin() and the accessors never take it (Pin() takes only the leaf
+/// epoch_mutex_).
 class LiveWorld : public PoiEpochSource {
  public:
   /// Takes ownership of `dataset` and builds the base (epoch 0) index
@@ -111,7 +114,7 @@ class LiveWorld : public PoiEpochSource {
   LiveWorld(const LiveWorld&) = delete;
   LiveWorld& operator=(const LiveWorld&) = delete;
 
-  /// Wait-free epoch pin (PoiEpochSource). The snapshot — and through
+  /// Epoch pin (PoiEpochSource). The snapshot — and through
   /// it the overlay or compacted arena it references — stays valid
   /// until the returned shared_ptr is released.
   std::shared_ptr<const PoiEpochSnapshot> Pin() const override;
@@ -171,11 +174,6 @@ class LiveWorld : public PoiEpochSource {
     std::unique_ptr<GlobalInvertedIndex> global;
   };
 
-  /// The published-snapshot holder the RCU pointer targets. Readers
-  /// copy the shared_ptr out while registered in readers_; holders are
-  /// retired (not freed) on republish and reclaimed at quiescence.
-  using SnapshotHolder = std::shared_ptr<const PoiEpochSnapshot>;
-
   // Writer-side view of the current epoch (grid/global of the current
   // arena, or the base suite when arena_ is null).
   const PoiGridIndex& CurrentGridLocked() const SOI_REQUIRES(mutex_);
@@ -215,13 +213,12 @@ class LiveWorld : public PoiEpochSource {
   int64_t ops_since_compact_ SOI_GUARDED_BY(mutex_) = 0;
   bool stop_compactor_ SOI_GUARDED_BY(mutex_) = false;
 
-  // RCU publication state (see Pin / PublishLocked). storage_'s last
-  // element is the current holder; earlier elements are retired
-  // generations a registered reader may still be copying from.
-  std::atomic<const SnapshotHolder*> current_{nullptr};
-  mutable std::atomic<int64_t> readers_{0};
-  std::vector<std::unique_ptr<const SnapshotHolder>> storage_
-      SOI_GUARDED_BY(mutex_);
+  // The published epoch (see Pin / PublishLocked). A leaf lock: held
+  // only to copy or swap current_, never while freeing a snapshot.
+  mutable Mutex epoch_mutex_{"ingest.LiveWorld.epoch",
+                             lock_graph::kRankLeaf};
+  std::shared_ptr<const PoiEpochSnapshot> current_
+      SOI_GUARDED_BY(epoch_mutex_);
 
   // Lock-free mirrors for the public accessors.
   std::atomic<uint64_t> published_epoch_{0};

@@ -4,7 +4,8 @@
 // to the same queries over indexes cold-rebuilt from the live dataset on
 // the world's fixed geometry — the correctness bar of src/ingest. The
 // suite also pins the RCU reader guarantees (old pins survive later
-// epochs and compactions untouched), whole-batch validation atomicity,
+// epochs and compactions untouched, and retired epochs are freed once
+// the last pin is released), whole-batch validation atomicity,
 // the background compactor, and the versioned snapshot round-trip of a
 // compacted world.
 
@@ -359,8 +360,8 @@ TEST(IngestTest, PinnedSnapshotSurvivesCompactionAndReclamation) {
   batch.poi_deletes = {1, 2, 3};
   ASSERT_TRUE(world.ApplyBatch(batch).ok());
 
-  // Pin the overlay epoch, then compact twice (the second republish
-  // reclaims retired holders); the pinned view must stay fully valid.
+  // Pin the overlay epoch, then compact twice (each republish retires
+  // the previous epoch); the pinned view must stay fully valid.
   std::shared_ptr<const PoiEpochSnapshot> pin = world.Pin();
   ASSERT_NE(pin->overlay, nullptr);
   uint64_t pinned_epoch = pin->epoch;
@@ -380,6 +381,53 @@ TEST(IngestTest, PinnedSnapshotSurvivesCompactionAndReclamation) {
     live_total += view.NumPoisInCell(cell);
   }
   EXPECT_EQ(live_total, 250 + 10 - 3);
+}
+
+// Retention is bounded by the pins: a retired epoch — with its overlay
+// or the compacted arena it retains — lives exactly as long as the last
+// pin on it, and with no pin held it is freed by the publish that
+// retires it.
+TEST(IngestTest, RetiredEpochsAreFreedWhenTheLastPinIsReleased) {
+  LiveWorld world(MakeDataset(28, 250, 30), kCellSize);
+  Rng rng(79);
+  auto one_insert = [&] {
+    UpdateBatch batch;
+    batch.poi_inserts.push_back(
+        RandomInsert(&rng, world.geometry().bounds()));
+    return batch;
+  };
+
+  // No pin held: the previous epoch expires at the publish itself.
+  std::weak_ptr<const PoiEpochSnapshot> unpinned = world.Pin();
+  ASSERT_FALSE(unpinned.expired());  // the world's current epoch
+  ASSERT_TRUE(world.ApplyBatch(one_insert()).ok());
+  EXPECT_TRUE(unpinned.expired());
+
+  // A pinned overlay epoch survives a later batch and a compaction, and
+  // is freed — overlay included — when the pin is released.
+  std::shared_ptr<const PoiEpochSnapshot> pin = world.Pin();
+  ASSERT_NE(pin->overlay, nullptr);
+  std::weak_ptr<const PoiEpochSnapshot> pinned = pin;
+  std::weak_ptr<const PoiDeltaOverlay> pinned_overlay = pin->overlay;
+  ASSERT_TRUE(world.ApplyBatch(one_insert()).ok());
+  ASSERT_TRUE(world.Compact().ok());
+  EXPECT_FALSE(pinned.expired());
+  EXPECT_FALSE(pinned_overlay.expired());
+  pin.reset();
+  EXPECT_TRUE(pinned.expired());
+  EXPECT_TRUE(pinned_overlay.expired());
+
+  // The same for a compacted arena: a pin on the compacted epoch keeps
+  // its arena alive across the next compaction, and only that pin does.
+  pin = world.Pin();
+  ASSERT_NE(pin->retain, nullptr);
+  std::weak_ptr<const void> pinned_arena = pin->retain;
+  ASSERT_TRUE(world.ApplyBatch(one_insert()).ok());
+  ASSERT_TRUE(world.Compact().ok());
+  EXPECT_NE(world.Pin()->retain, pin->retain);
+  EXPECT_FALSE(pinned_arena.expired());
+  pin.reset();
+  EXPECT_TRUE(pinned_arena.expired());
 }
 
 TEST(IngestTest, RandomizedInterleavingMatchesColdRebuildAtTheEnd) {

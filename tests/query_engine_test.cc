@@ -192,6 +192,31 @@ TEST(QueryEngineTest, CacheEvictsLeastRecentlyUsedAtCapacity) {
   EXPECT_EQ(a->eps(), 0.001);
 }
 
+// Eviction drops the cache's ownership at once: evicted maps live exactly
+// as long as an outside holder keeps them, and no longer.
+TEST(QueryEngineTest, EvictedMapsAreFreedWhenTheLastHolderDropsThem) {
+  Instance instance(10, 0.003, 300, 6);
+  QueryEngineOptions options;
+  options.num_threads = 1;
+  options.eps_cache_capacity = 1;
+  QueryEngine engine(instance.network, instance.grid, instance.global_index,
+                     instance.segment_cells, options);
+
+  std::shared_ptr<const EpsAugmentedMaps> held = engine.GetMaps(0.001);
+  std::weak_ptr<const EpsAugmentedMaps> held_weak = held;
+  std::weak_ptr<const EpsAugmentedMaps> unheld = engine.GetMaps(0.002);
+  EXPECT_EQ(engine.cache_stats().evictions, 1);  // 0.001 evicted
+  EXPECT_FALSE(held_weak.expired());
+  held.reset();
+  EXPECT_TRUE(held_weak.expired());
+
+  // With no outside holder the eviction itself frees the maps.
+  ASSERT_FALSE(unheld.expired());  // still the cached entry
+  engine.GetMaps(0.003);           // evicts 0.002
+  EXPECT_EQ(engine.cache_stats().evictions, 2);
+  EXPECT_TRUE(unheld.expired());
+}
+
 // Regression test for in-flight eviction: at capacity 1, an insert for a
 // second eps used to evict the entry whose build was still running,
 // detaching the shared future concurrent same-eps requesters join on and
@@ -473,6 +498,14 @@ TEST(QueryEngineTest, CoalescedGroupsChargeAdmissionPerLogicalQuery) {
     ASSERT_FALSE(got[i].ok()) << "query " << i;
     EXPECT_EQ(got[i].status().code(), StatusCode::kResourceExhausted)
         << "query " << i;
+    // Each shed member names the count it observed: the three admitted
+    // members plus itself (a shed slot is released before the next
+    // member tries).
+    EXPECT_NE(got[i].status().message().find(
+                  "query shed: 4 in-flight queries exceeds "
+                  "max_inflight_queries=3"),
+              std::string::npos)
+        << "query " << i << ": " << got[i].status().ToString();
   }
   // The shared evaluation served from the warm cache: still one build.
   EXPECT_EQ(builds.load(), 1);
@@ -510,8 +543,8 @@ TEST(QueryEngineTest, ConcurrentWarmCacheHitsServeOneMapsObject) {
   SoiResult expected = engine.Run(query);  // warms the cache (one miss)
 
   // Hammer the warm entry from many threads: every lookup must resolve
-  // on the contention-free snapshot path against the one cached maps
-  // object (no rebuilds — miss count stays 1), bit-identically.
+  // as a hit against the one cached maps object (no rebuilds — miss
+  // count stays 1), bit-identically.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4;
   std::shared_ptr<const EpsAugmentedMaps> maps = engine.GetMaps(query.eps);

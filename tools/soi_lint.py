@@ -47,6 +47,13 @@ hash-of-vectors
               of nodes on a city). Serving indexes keep per-key lists in
               flat arenas. The photo grid and the generic PointGrid are
               off the serving path and allowlisted by name.
+atomic-pointer
+              No std::atomic<T*> member or variable anywhere under src/:
+              shared state is published as a shared_ptr that readers
+              copy under a short leaf lock (QueryEngine's eps cache,
+              LiveWorld::Pin). A hand-rolled atomic-pointer publication
+              needs its own reader counter, memory-order argument and
+              reclamation scheme — the machinery that lock replaced.
 lock-hygiene  No raw std::mutex / std::lock_guard / std::unique_lock /
               std::scoped_lock / std::condition_variable (or the shared/
               timed/recursive variants) outside common/mutex.h: all
@@ -103,6 +110,7 @@ RULE_SCOPE = {
     "unchecked-io": ("src/serve",),
     "nested-vector": ("src/grid",),
     "hash-of-vectors": ("src/grid",),
+    "atomic-pointer": ("src",),
     "lock-hygiene": ("src",),
 }
 
@@ -132,6 +140,7 @@ ALLOWLIST = {
         "src/grid/photo_grid_index.h",
         "src/grid/point_grid.h",
     ],
+    "atomic-pointer": [],
     # mutex.h is the blessed wrapper; lock_graph.{h,cc} implement the
     # detector it reports into and must not instrument themselves.
     "lock-hygiene": [
@@ -184,6 +193,11 @@ RULE_PATTERNS = {
         r"std::\s*unordered_map\s*<\s*[\w:]+(?:\s*<[^<>]*>)?\s*,"
         r"\s*std::\s*vector\s*<"
     ),
+    # The template argument (one level of nested template arguments
+    # allowed) ends in a pointer declarator.
+    "atomic-pointer": re.compile(
+        r"std::\s*atomic\s*<(?:[^<>;]|<[^<>;]*>)*\*\s*>"
+    ),
     "lock-hygiene": re.compile(
         r"std::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex"
         r"|shared_mutex|shared_timed_mutex|lock_guard|scoped_lock"
@@ -223,6 +237,12 @@ RULE_MESSAGES = {
         "hash map of vectors in a grid-index header; serving indexes keep "
         "per-key lists in flat arenas (see PoiGridIndex), not a hash node "
         "and a heap block per key"
+    ),
+    "atomic-pointer": (
+        "std::atomic pointer publication; publish a shared_ptr that "
+        "readers copy under a short leaf lock (see QueryEngine::TryGetMaps "
+        "and LiveWorld::Pin) instead of hand-rolling reader counters and "
+        "reclamation"
     ),
     "lock-hygiene": (
         "raw std:: synchronization primitive; lock through soi::Mutex / "

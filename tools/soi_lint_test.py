@@ -41,6 +41,7 @@ class TextRuleTest(unittest.TestCase):
         ("bad_unchecked_io.cc", "unchecked-io", 8),
         ("bad_nested_vector.h", "nested-vector", 10),
         ("bad_hash_of_vectors.h", "hash-of-vectors", 13),
+        ("bad_atomic_pointer.h", "atomic-pointer", 14),
         ("bad_lock_hygiene.cc", "lock-hygiene", 5),
     ]
 
