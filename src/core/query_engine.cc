@@ -21,10 +21,9 @@ namespace soi {
 
 namespace {
 
-// Bumps the per-failure-class serving counters and passes the status
-// through, so failure paths read `return CountQueryFailure(st);`.
-Status CountQueryFailure(Status status) {
-  switch (status.code()) {
+// Bumps the per-failure-class serving counters of a failed evaluation.
+void CountQueryFailure(StatusCode code) {
+  switch (code) {
     case StatusCode::kDeadlineExceeded:
       SOI_OBS_COUNTER_ADD("soi.engine.deadline_exceeded", 1);
       break;
@@ -34,26 +33,27 @@ Status CountQueryFailure(Status status) {
     default:
       break;
   }
-  return status;
 }
 
-// RAII decrement of the in-flight query gauge.
-class InflightGuard {
+// The epochs of an engine without an epoch source: one immutable
+// epoch 0 over the indexes the engine was constructed over. Pin() copies
+// a shared_ptr — no lock, no allocation.
+class StaticEpochSource final : public PoiEpochSource {
  public:
-  explicit InflightGuard(std::atomic<int64_t>* counter) : counter_(counter) {}
-  ~InflightGuard() {
-    counter_->fetch_sub(1, std::memory_order_relaxed);
-    // Last-write-wins level for introspection; a racing Set from a
-    // concurrent query only blurs the gauge by one, never the admission
-    // check (which reads the atomic, not the gauge).
-    SOI_OBS_GAUGE_SET("soi.engine.inflight",
-                      counter_->load(std::memory_order_relaxed));
+  StaticEpochSource(const PoiGridIndex& grid,
+                    const GlobalInvertedIndex& global) {
+    auto snapshot = std::make_shared<PoiEpochSnapshot>();
+    snapshot->grid = &grid;
+    snapshot->global = &global;
+    snapshot_ = std::move(snapshot);
   }
-  InflightGuard(const InflightGuard&) = delete;
-  InflightGuard& operator=(const InflightGuard&) = delete;
+
+  std::shared_ptr<const PoiEpochSnapshot> Pin() const override {
+    return snapshot_;
+  }
 
  private:
-  std::atomic<int64_t>* counter_;
+  std::shared_ptr<const PoiEpochSnapshot> snapshot_;
 };
 
 // Flight-recorder identity fields of one query (and its fresh id).
@@ -112,10 +112,24 @@ QueryEngine::QueryEngine(const RoadNetwork& network, const PoiGridIndex& grid,
       pool_(options_.num_threads > 1
                 ? std::make_unique<ThreadPool>(options_.num_threads)
                 : nullptr),
-      algorithm_(network, grid, global_index, pool_.get()) {
+      algorithm_(network, grid, global_index, pool_.get()),
+      static_epochs_(options_.epoch_source == nullptr
+                         ? std::make_unique<StaticEpochSource>(grid,
+                                                               global_index)
+                         : nullptr),
+      epochs_(options_.epoch_source != nullptr ? options_.epoch_source
+                                               : static_epochs_.get()) {
   SOI_CHECK(options_.num_threads >= 1) << "num_threads must be >= 1";
   SOI_CHECK(options_.eps_cache_capacity >= 1)
       << "eps_cache_capacity must be >= 1";
+  // Both are replaced on every query; a configured value would be
+  // silently ignored.
+  SOI_CHECK(!options_.algorithm.cancel.cancellable())
+      << "QueryEngineOptions::algorithm.cancel is replaced per query; "
+         "pass the token to TryRun instead";
+  SOI_CHECK(options_.algorithm.live_view == nullptr)
+      << "QueryEngineOptions::algorithm.live_view is replaced per query; "
+         "set QueryEngineOptions::epoch_source instead";
   options_.algorithm.pool = pool_.get();
 }
 
@@ -316,41 +330,11 @@ SoiResult QueryEngine::Run(const SoiQuery& query) {
   return std::move(result).ValueOrDie();
 }
 
-Result<SoiResult> QueryEngine::TryRun(const SoiQuery& query) {
-  return TryRun(query, options_.algorithm.cancel);
-}
-
 Result<SoiResult> QueryEngine::TryRun(const SoiQuery& query,
                                       const CancellationToken& cancel) {
-  return TryRunCounted(query, cancel, /*preadmitted=*/false);
-}
-
-Result<SoiResult> QueryEngine::TryRunCounted(const SoiQuery& query,
-                                             const CancellationToken& cancel,
-                                             bool preadmitted) {
-  // The observability envelope around the evaluation: every TryRun —
-  // success, invalid, shed, expired, faulted — leaves one QueryRecord
-  // in the flight recorder, and successful queries additionally stamp
-  // their id as the soi.engine.query_seconds exemplar of their latency
-  // bucket. Under SOI_OBSERVABILITY=OFF kEnabled is constexpr false and
-  // all of this folds away.
-  obs::QueryRecord record;
-  if (obs::kEnabled) record = MakeQueryRecord(query);
-  Stopwatch timer;
-  Result<SoiResult> result =
-      TryRunInternal(query, cancel, &record, preadmitted);
-  if (obs::kEnabled) {
-    record.total_seconds = timer.ElapsedSeconds();
-    record.status =
-        result.ok() ? StatusCode::kOk : result.status().code();
-    SOI_OBS_FLIGHT_RECORD(record);
-    if (result.ok()) {
-      SOI_OBS_HISTOGRAM_OBSERVE_EXEMPLAR("soi.engine.query_seconds",
-                                         record.total_seconds,
-                                         record.query_id);
-    }
-  }
-  return result;
+  std::optional<Result<SoiResult>> result;
+  Serve(query, cancel, 1, &result);
+  return std::move(*result);
 }
 
 Status QueryEngine::Admit() {
@@ -369,74 +353,117 @@ Status QueryEngine::Admit() {
       std::to_string(options_.max_inflight_queries));
 }
 
-Result<SoiResult> QueryEngine::TryRunInternal(
-    const SoiQuery& query, const CancellationToken& cancel,
-    obs::QueryRecord* record, bool preadmitted) {
-  // Validation precedes every other step — in particular the eps cache
-  // lookup, so a NaN eps (NaN != NaN would miss and insert on every
-  // call) can never become a cache key.
-  SOI_RETURN_NOT_OK(query.Validate());
+void QueryEngine::Serve(const SoiQuery& query,
+                        const CancellationToken& cancel, size_t n,
+                        std::optional<Result<SoiResult>>* out) {
+  // The observability envelope: `record` belongs to the requester the
+  // evaluation serves first and collects what the evaluation knows
+  // (cache hit, pinned epoch, phase stats). Under SOI_OBSERVABILITY=OFF
+  // kEnabled is constexpr false and all of it folds away.
+  obs::QueryRecord record;
+  if (obs::kEnabled) record = MakeQueryRecord(query);
+  Stopwatch timer;
 
-  // Admission control — unless the caller (a coalesced TryRunBatch
-  // group) already charged one slot per logical query it represents.
-  std::optional<InflightGuard> guard;
-  if (!preadmitted) {
-    SOI_RETURN_NOT_OK(Admit());
-    guard.emplace(&inflight_);
-  }
-
-  SOI_TRACE_SPAN("engine.query");
-  Status admitted = cancel.Check();
-  if (!admitted.ok()) return CountQueryFailure(std::move(admitted));
-
-  std::shared_ptr<const EpsAugmentedMaps> maps;
-  {
-    auto maps_result =
-        TryGetMaps(query.eps, cancel.cancellable() ? &cancel : nullptr,
-                   &record->cache_hit);
-    if (!maps_result.ok()) {
-      return CountQueryFailure(maps_result.status());
+  // Validation precedes every other step — admission included, so an
+  // invalid query is kInvalidArgument on a full engine too, and the eps
+  // cache lookup, so a NaN eps (NaN != NaN would miss and insert on
+  // every call) can never become a cache key. Admission control is per
+  // logical requester: each claims its own in-flight slot, in order,
+  // for the duration of the one evaluation. A requester that finds the
+  // engine full is shed individually (its slot released before the next
+  // one tries).
+  const Status valid = query.Validate();
+  size_t primary = 0;
+  int64_t num_admitted = 0;
+  for (size_t i = 0; i < n; ++i) {
+    Status admitted = valid.ok() ? Admit() : valid;
+    if (!admitted.ok()) {
+      out[i] = std::move(admitted);
+    } else if (num_admitted++ == 0) {
+      primary = i;
     }
-    maps = std::move(maps_result).ValueOrDie();
   }
 
-  // Live ingest: pin one epoch for the whole evaluation. The snapshot's
-  // shared_ptr (and through it the overlay / compacted arenas) stays
-  // alive until this frame returns, so the view's borrowed pointers are
-  // valid for every read the algorithm performs. Pinned after admission
-  // so shed queries never delay overlay reclamation.
-  std::shared_ptr<const PoiEpochSnapshot> epoch;
-  std::optional<LivePoiView> live_view;
-  if (options_.epoch_source != nullptr) {
-    epoch = options_.epoch_source->Pin();
-    live_view.emplace(epoch->View());
-    record->ingest_epoch = epoch->epoch;
-  }
-
-  SoiAlgorithmOptions algorithm_options = options_.algorithm;
-  algorithm_options.cancel = cancel;
-  if (live_view.has_value()) {
-    algorithm_options.live_view = &*live_view;
-  }
-  // Exemplar attribution for the per-phase latency histograms (plain
-  // data; 0 under SOI_OBSERVABILITY=OFF).
-  algorithm_options.query_id = record->query_id;
-  // TryTopK is Status-based, but an injected fault inside its parallel
-  // refinement still unwinds as an exception; convert it here so the
-  // serving boundary is exception-free.
-  try {
-    Result<SoiResult> result =
-        algorithm_.TryTopK(query, *maps, algorithm_options);
-    if (!result.ok()) return CountQueryFailure(result.status());
-    if (obs::kEnabled) {
-      FillRecordFromStats(result.ValueOrDie().stats, record);
+  if (num_admitted > 0) {
+    SOI_TRACE_SPAN("engine.query");
+    // TryTopK is Status-based, but an injected fault inside its parallel
+    // refinement still unwinds as an exception; convert it here so the
+    // serving boundary is exception-free.
+    auto evaluate = [&]() -> Result<SoiResult> {
+      SOI_RETURN_NOT_OK(cancel.Check());
+      // Pin one epoch for the whole evaluation. The snapshot's
+      // shared_ptr (and through it the overlay / compacted arenas)
+      // stays alive until this frame returns, so the view's borrowed
+      // pointers are valid for every read the algorithm performs.
+      // Pinned after admission so shed queries never delay overlay
+      // reclamation.
+      std::shared_ptr<const PoiEpochSnapshot> epoch = epochs_->Pin();
+      const LivePoiView view = epoch->View();
+      record.ingest_epoch = epoch->epoch;
+      SOI_ASSIGN_OR_RETURN(
+          std::shared_ptr<const EpsAugmentedMaps> maps,
+          TryGetMaps(query.eps, cancel.cancellable() ? &cancel : nullptr,
+                     &record.cache_hit));
+      SoiAlgorithmOptions algorithm_options = options_.algorithm;
+      algorithm_options.cancel = cancel;
+      algorithm_options.live_view = &view;
+      // Exemplar attribution for the per-phase latency histograms
+      // (plain data; 0 under SOI_OBSERVABILITY=OFF).
+      algorithm_options.query_id = record.query_id;
+      try {
+        return algorithm_.TryTopK(query, *maps, algorithm_options);
+      } catch (const CancelledError& e) {
+        return e.status();
+      } catch (const std::exception& e) {
+        return Status::Internal(std::string("query evaluation failed: ") +
+                                e.what());
+      }
+    };
+    Result<SoiResult> served = evaluate();
+    // The gauge is a last-write-wins level for introspection: a racing
+    // Set blurs it, never admission (which reads the atomic).
+    inflight_.fetch_sub(num_admitted, std::memory_order_relaxed);
+    SOI_OBS_GAUGE_SET("soi.engine.inflight",
+                      inflight_.load(std::memory_order_relaxed));
+    if (!served.ok()) {
+      CountQueryFailure(served.status().code());
+    } else if (obs::kEnabled) {
+      FillRecordFromStats(served.ValueOrDie().stats, &record);
     }
-    return result;
-  } catch (const CancelledError& e) {
-    return CountQueryFailure(e.status());
-  } catch (const std::exception& e) {
-    return CountQueryFailure(Status::Internal(
-        std::string("query evaluation failed: ") + e.what()));
+    for (size_t i = primary + 1; i < n; ++i) {
+      if (!out[i].has_value()) out[i] = served;
+    }
+    out[primary] = std::move(served);
+  }
+
+  // Exactly one flight record per requester; successful evaluations
+  // additionally stamp their id as the soi.engine.query_seconds
+  // exemplar of their latency bucket.
+  if (obs::kEnabled) {
+    const Result<SoiResult>& first = *out[primary];
+    record.total_seconds = timer.ElapsedSeconds();
+    record.status = first.ok() ? StatusCode::kOk : first.status().code();
+    SOI_OBS_FLIGHT_RECORD(record);
+    if (first.ok()) {
+      SOI_OBS_HISTOGRAM_OBSERVE_EXEMPLAR("soi.engine.query_seconds",
+                                         record.total_seconds,
+                                         record.query_id);
+    }
+    // The other requesters: coalesced, no wall time of their own; a
+    // requester the evaluation served carries its phase stats and epoch.
+    for (size_t i = 0; i < n; ++i) {
+      if (i == primary) continue;
+      const Result<SoiResult>& result = *out[i];
+      obs::QueryRecord coalesced = MakeQueryRecord(query);
+      coalesced.coalesced = true;
+      coalesced.status =
+          result.ok() ? StatusCode::kOk : result.status().code();
+      if (result.ok()) {
+        FillRecordFromStats(result.ValueOrDie().stats, &coalesced);
+        coalesced.ingest_epoch = record.ingest_epoch;
+      }
+      SOI_OBS_FLIGHT_RECORD(coalesced);
+    }
   }
 }
 
@@ -456,50 +483,27 @@ std::vector<SoiResult> QueryEngine::RunBatch(
 
 std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
     const std::vector<SoiQuery>& queries) {
-  return TryRunBatch(queries, {});
-}
-
-std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
-    const std::vector<SoiQuery>& queries,
-    const std::vector<CancellationToken>& cancels) {
-  SOI_CHECK(cancels.empty() || cancels.size() == queries.size())
-      << "TryRunBatch: cancels must be empty or one per query, got "
-      << cancels.size() << " tokens for " << queries.size() << " queries";
   SOI_TRACE_SPAN("engine.run_batch");
   Stopwatch timer;
   SOI_OBS_COUNTER_ADD("soi.engine.batches", 1);
   SOI_OBS_COUNTER_ADD("soi.engine.batch_queries",
                       static_cast<int64_t>(queries.size()));
-  // Coalesce duplicates (identical <Psi, k, eps>) onto one evaluation.
-  // leader[i] == i marks an entry that runs; a duplicate points at the
-  // earlier identical query (always a smaller index, so the forward
-  // fan-out pass below is well-ordered). Per-query tokens disable
-  // coalescing: two duplicates may differ in when their tokens fire.
-  std::vector<int64_t> leader(queries.size());
-  int64_t coalesced = 0;
-  if (cancels.empty() && queries.size() > 1) {
-    std::unordered_map<std::string, int64_t> first_by_key;
-    first_by_key.reserve(queries.size());
+  // Coalesce duplicates (identical <Psi, k, eps>) into groups, each
+  // listing its members in input order.
+  std::vector<std::vector<size_t>> groups;
+  {
+    std::unordered_map<std::string, size_t> group_of;
+    group_of.reserve(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto [it, inserted] = first_by_key.emplace(
-          QueryIdentityKey(queries[i]), static_cast<int64_t>(i));
-      leader[i] = it->second;
-      if (!inserted) ++coalesced;
-    }
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      leader[i] = static_cast<int64_t>(i);
+      auto [it, inserted] =
+          group_of.emplace(QueryIdentityKey(queries[i]), groups.size());
+      if (inserted) groups.emplace_back();
+      groups[it->second].push_back(i);
     }
   }
-  if (coalesced > 0) {
-    SOI_OBS_COUNTER_ADD("soi.engine.batch_coalesced", coalesced);
-  }
-  // Members of each coalesced group, ascending (a leader's own index
-  // comes first). Admission control charges per member below.
-  std::vector<std::vector<int64_t>> group_members(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    group_members[static_cast<size_t>(leader[i])].push_back(
-        static_cast<int64_t>(i));
+  if (groups.size() < queries.size()) {
+    SOI_OBS_COUNTER_ADD("soi.engine.batch_coalesced",
+                        static_cast<int64_t>(queries.size() - groups.size()));
   }
 
   std::vector<Result<SoiResult>> results(
@@ -511,71 +515,28 @@ std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
     // wildly uneven — a cold eps build can take orders of magnitude
     // longer than a warm-cache query — and a static chunk containing
     // one slow query serializes every query behind it in that chunk.
-    // Each entry writes only results[i], so the timing-dependent claim
-    // order cannot affect the (bit-identical) per-query results.
+    // Each group writes only its members' results, so the
+    // timing-dependent claim order cannot affect the (bit-identical)
+    // per-query results.
     ParallelForDynamic(
-        pool_.get(), 0, static_cast<int64_t>(queries.size()),
-        [&](int64_t i) {
-          size_t idx = static_cast<size_t>(i);
-          if (leader[idx] != i) return;  // coalesced dup
-          const CancellationToken& cancel =
-              cancels.empty() ? options_.algorithm.cancel : cancels[idx];
-          const std::vector<int64_t>& group = group_members[idx];
-          if (group.size() == 1) {
-            // No duplicates: the single-query path (admission inside).
-            results[idx] = TryRun(queries[idx], cancel);
-            return;
-          }
-          // Coalesced group: admission control is per *logical query* —
-          // each member claims its own in-flight slot, in input order, for
-          // the duration of the shared evaluation, exactly as if it had
-          // been submitted alone. A member that finds the engine full is
-          // shed individually (its slot released before the next member
-          // tries) while admitted members still share the one evaluation.
-          std::vector<Status> admission;
-          admission.reserve(group.size());
-          int64_t num_admitted = 0;
-          for (size_t g = 0; g < group.size(); ++g) {
-            admission.push_back(Admit());
-            if (admission.back().ok()) ++num_admitted;
-          }
-          std::optional<Result<SoiResult>> eval;
-          if (num_admitted > 0) {
-            eval = TryRunCounted(queries[idx], cancel, /*preadmitted=*/true);
-            inflight_.fetch_sub(num_admitted, std::memory_order_relaxed);
-            SOI_OBS_GAUGE_SET("soi.engine.inflight",
-                              inflight_.load(std::memory_order_relaxed));
-          }
-          for (size_t g = 0; g < group.size(); ++g) {
-            results[static_cast<size_t>(group[g])] =
-                admission[g].ok() ? *eval : Result<SoiResult>(admission[g]);
+        pool_.get(), 0, static_cast<int64_t>(groups.size()),
+        [&](int64_t g) {
+          const std::vector<size_t>& members =
+              groups[static_cast<size_t>(g)];
+          std::vector<std::optional<Result<SoiResult>>> served(
+              members.size());
+          Serve(queries[members.front()], CancellationToken(),
+                members.size(), served.data());
+          for (size_t m = 0; m < members.size(); ++m) {
+            results[members[m]] = std::move(*served[m]);
           }
         });
   } catch (const std::exception&) {
     // Only reachable when an injected "pool.run_chunk" fault hits the
-    // batch's own outer loop: TryRun itself never throws. The loop's
-    // unevaluated entries keep their placeholder Internal status;
-    // entries evaluated by sibling participants are unaffected.
-  }
-  // Flight records for the coalesced duplicates. The group lambda
-  // already assigned every member's result (the shared evaluation, or a
-  // per-member shed status; a group aborted by a pool fault leaves all
-  // its members on the placeholder). Each duplicate gets its own record
-  // — marked coalesced, carrying the phase stats of the evaluation that
-  // served it but no wall time of its own.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (leader[i] != static_cast<int64_t>(i)) {
-      if (obs::kEnabled) {
-        obs::QueryRecord record = MakeQueryRecord(queries[i]);
-        record.coalesced = true;
-        record.status = results[i].ok() ? StatusCode::kOk
-                                        : results[i].status().code();
-        if (results[i].ok()) {
-          FillRecordFromStats(results[i].ValueOrDie().stats, &record);
-        }
-        SOI_OBS_FLIGHT_RECORD(record);
-      }
-    }
+    // batch's own outer loop: Serve itself never throws. The groups the
+    // fault kept from running keep their placeholder Internal status
+    // and leave no flight record; groups served by sibling participants
+    // are unaffected.
   }
   SOI_OBS_HISTOGRAM_OBSERVE("soi.engine.batch_seconds",
                             timer.ElapsedSeconds());

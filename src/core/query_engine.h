@@ -6,6 +6,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,13 +21,6 @@ namespace soi {
 
 class PoiEpochSource;
 class ThreadPool;
-
-namespace obs {
-// Forward declaration only: the layering rule (DESIGN.md
-// "Observability") keeps obs headers out of non-obs headers. The
-// record is filled and published in query_engine.cc.
-struct QueryRecord;
-}  // namespace obs
 
 /// Tuning knobs for QueryEngine.
 struct QueryEngineOptions {
@@ -54,18 +48,20 @@ struct QueryEngineOptions {
   /// serve through TryRun/TryRunBatch.
   size_t max_inflight_queries = 0;
 
-  /// Per-query algorithm options. The `pool` field is overridden by the
-  /// engine's own pool.
+  /// Per-query algorithm options. The engine supplies `pool` (its own
+  /// pool), `query_id`, `cancel` (the TryRun token) and `live_view` (the
+  /// pinned epoch) itself: a non-inert `cancel` or a non-null
+  /// `live_view` here is a fatal error at construction.
   SoiAlgorithmOptions algorithm;
 
-  /// Live-ingest integration (grid/live_poi_view.h): when set, every
+  /// The POI epochs the engine reads (grid/live_poi_view.h): every
   /// admitted query pins one epoch from this source for its whole
   /// evaluation — Pin() copies a shared_ptr under a short leaf lock and
   /// never waits on the writer, the pinned snapshot is released when the
   /// query finishes, and the query's POI reads all see that epoch's
-  /// index state. Null (default) = the static indexes the
-  /// engine was constructed over. Not owned; must outlive the engine.
-  /// Overrides algorithm.live_view per query when set.
+  /// index state. Null (default) = an engine-owned epoch 0 over the
+  /// static indexes the engine was constructed over. Not owned; must
+  /// outlive the engine.
   const PoiEpochSource* epoch_source = nullptr;
 
   /// Test/diagnostic hook: invoked outside the cache lock at the start
@@ -138,8 +134,8 @@ class QueryEngine {
   /// The hardened serving entry point (DESIGN.md "Failure model").
   /// Returns, instead of the result:
   ///  - kInvalidArgument if the query fails SoiQuery::Validate() —
-  ///    checked before the eps cache is consulted, so a NaN eps can
-  ///    never be used as a cache key;
+  ///    checked before admission and before the eps cache is consulted,
+  ///    so a NaN eps can never be used as a cache key;
   ///  - kResourceExhausted if admission control sheds the query
   ///    (see QueryEngineOptions::max_inflight_queries);
   ///  - kDeadlineExceeded / kCancelled if `cancel` fires before or
@@ -150,36 +146,25 @@ class QueryEngine {
   /// A failed eps-cache build never leaves a poisoned entry behind:
   /// the builder evicts its own entry before publishing the failure,
   /// and concurrent waiters retry against a clean slot.
-  [[nodiscard]] Result<SoiResult> TryRun(const SoiQuery& query);
+  [[nodiscard]] Result<SoiResult> TryRun(
+      const SoiQuery& query, const CancellationToken& cancel = {});
 
-  /// TryRun with a per-query cancellation/deadline token (overrides the
-  /// engine-wide options.algorithm.cancel for this query only).
-  [[nodiscard]] Result<SoiResult> TryRun(const SoiQuery& query,
-                                         const CancellationToken& cancel);
-
-  /// Evaluates the batch through TryRun, up to num_threads queries
-  /// concurrently, returning one Result per query in input order.
-  /// Failures are per-entry: invalid, shed, expired, or faulted queries
-  /// report their Status while the rest return results bit-identical to
-  /// the sequential reference.
+  /// Evaluates the batch, up to num_threads queries concurrently,
+  /// returning one Result per query in input order. Failures are
+  /// per-entry: invalid, shed or faulted queries report their Status
+  /// while the rest return results bit-identical to the sequential
+  /// reference. A deadline belongs to one query: serve deadline-bound
+  /// queries through TryRun.
+  ///
+  /// Duplicate coalescing: queries with the same full identity
+  /// <Psi, k, eps> are evaluated once, on behalf of every duplicate.
+  /// Bit-identity is preserved because an identical query yields an
+  /// identical evaluation (only the wall-clock timing fields, excluded
+  /// from the contract, are shared instead of re-measured). Admission
+  /// still charges one in-flight slot per duplicate. Coalesced
+  /// duplicates are counted in soi.engine.batch_coalesced.
   [[nodiscard]] std::vector<Result<SoiResult>> TryRunBatch(
       const std::vector<SoiQuery>& queries);
-
-  /// TryRunBatch with one cancellation token per query. `cancels` must
-  /// be empty (engine-wide token for all) or match queries.size().
-  ///
-  /// Duplicate coalescing: when `cancels` is empty, queries with the same
-  /// full identity <Psi, k, eps> are evaluated once — the first occurrence
-  /// (the leader) runs, and the later duplicates receive a copy of its
-  /// Result. Bit-identity is preserved because an identical query yields
-  /// an identical evaluation (only the wall-clock timing fields, excluded
-  /// from the contract, are shared instead of re-measured). With per-query
-  /// tokens nothing is coalesced: two duplicates may legitimately differ
-  /// in when their tokens fire. Coalesced duplicates are counted in
-  /// soi.engine.batch_coalesced.
-  [[nodiscard]] std::vector<Result<SoiResult>> TryRunBatch(
-      const std::vector<SoiQuery>& queries,
-      const std::vector<CancellationToken>& cancels);
 
   /// The memoized eps augmentation for `eps`, building (and caching) it
   /// on first use. Concurrent requests for the same eps share one build.
@@ -268,29 +253,27 @@ class QueryEngine {
   /// returns kResourceExhausted naming the count this claim observed.
   Status Admit();
 
-  /// TryRun with an explicit admission mode: the shared body behind the
-  /// public TryRun (preadmitted = false, admission control inside) and
-  /// TryRunBatch's coalesced groups (preadmitted = true — the batch has
-  /// already charged one in-flight slot per coalesced logical query, so
-  /// the evaluation itself must not charge again).
-  Result<SoiResult> TryRunCounted(const SoiQuery& query,
-                                  const CancellationToken& cancel,
-                                  bool preadmitted);
-
-  /// TryRunCounted's body. `record` (never null; ignored when
-  /// observability is compiled out) accumulates the per-query
-  /// flight-recorder fields the evaluation path knows — cache hit/miss
-  /// and the phase stats — while the caller owns identity, total wall
-  /// time, final status, and publication to the FlightRecorder.
-  Result<SoiResult> TryRunInternal(const SoiQuery& query,
-                                   const CancellationToken& cancel,
-                                   obs::QueryRecord* record,
-                                   bool preadmitted);
+  /// The one query path behind TryRun and TryRunBatch. Serves `query`
+  /// for `n` logical requesters: validates it, admits each requester
+  /// (in order), pins an epoch, looks up or builds the eps maps and
+  /// evaluates once on behalf of every admitted requester. Engages
+  /// out[0..n) with each requester's outcome and leaves exactly one
+  /// QueryRecord per requester in the flight recorder: the first
+  /// requester the evaluation served (or requester 0 when it served
+  /// none) carries the wall time, the others are marked coalesced.
+  void Serve(const SoiQuery& query, const CancellationToken& cancel,
+             size_t n, std::optional<Result<SoiResult>>* out);
 
   const SegmentCellIndex* segment_cells_;
   QueryEngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
   SoiAlgorithm algorithm_;
+  // Set when options_.epoch_source is null: epoch 0 over the indexes the
+  // engine was constructed over.
+  std::unique_ptr<const PoiEpochSource> static_epochs_;
+  // Where every admitted query pins its epoch: options_.epoch_source or
+  // static_epochs_.
+  const PoiEpochSource* epochs_;
 
   // Lock-ordering invariant: cache_mutex_ is a LEAF lock. While holding
   // it, the engine never submits pool work, never blocks on a future,
@@ -305,7 +288,7 @@ class QueryEngine {
   // Monotone logical clock for LRU recency.
   uint64_t cache_tick_ SOI_GUARDED_BY(cache_mutex_) = 0;
   uint64_t next_entry_id_ SOI_GUARDED_BY(cache_mutex_) = 0;
-  // Queries currently inside TryRun (admission control).
+  // Admitted requesters currently being served (admission control).
   std::atomic<int64_t> inflight_{0};
   // Bumped after each lookup's critical section, read lock-free by
   // cache_stats() (see its contract above).

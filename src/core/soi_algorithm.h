@@ -79,9 +79,9 @@ struct SoiAlgorithmOptions {
   /// Epoch-pinned POI read surface for this evaluation (grid/live_poi_view.h).
   /// When null the run reads the indexes the SoiAlgorithm was constructed
   /// over — the static path. When set, every POI-side read (cell buckets,
-  /// posting merges, SL1) goes through the view instead, so live-ingest
-  /// callers (QueryEngine over an ingest::LiveWorld) evaluate against one
-  /// consistent epoch. The view's base indexes must share the constructed
+  /// posting merges, SL1) goes through the view instead, so a caller
+  /// evaluates against one consistent epoch (QueryEngine always passes
+  /// the epoch it pinned, epoch 0 included). The view's base indexes must share the constructed
   /// grid's geometry; the caller keeps the view's targets alive for the
   /// duration of the call.
   const LivePoiView* live_view = nullptr;

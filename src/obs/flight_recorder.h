@@ -54,13 +54,16 @@ struct QueryRecord {
   /// True when the eps-cache lookup resolved without a build (fast-path
   /// or in-flight-entry hit).
   bool cache_hit = false;
-  /// True for a batch duplicate served by copying its leader's result
-  /// (soi.engine.batch_coalesced); such records carry the leader's phase
+  /// True for a batch duplicate other than the group member whose
+  /// record carries the evaluation's wall time
+  /// (soi.engine.batch_coalesced); such records carry the shared phase
   /// timings but zero total_seconds of their own.
   bool coalesced = false;
 
-  /// Ingest epoch the query was pinned to (0 when the engine serves the
-  /// static indexes — no epoch source configured).
+  /// The epoch the query read: the one QueryEngine pinned from its
+  /// epoch source (epoch 0 for an engine serving the static indexes it
+  /// was built over). 0 when the query read nothing (invalid, shed, or
+  /// failed before its pin).
   uint64_t ingest_epoch = 0;
 
   /// kOk on success; kInvalidArgument / kResourceExhausted (shed) /

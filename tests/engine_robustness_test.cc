@@ -233,10 +233,10 @@ TEST(EngineRobustnessTest, SheddingBeyondMaxInflight) {
   }
 }
 
-// The acceptance scenario of this PR: one batch mixing healthy queries,
-// invalid queries, an expired-deadline query, and (under the fault
-// preset) an injected eps-cache build fault. Failed entries report their
-// per-query Status; healthy entries are bit-identical to the sequential
+// One batch mixing healthy queries, invalid queries and (under the
+// fault preset) an injected eps-cache build fault, next to an
+// expired-deadline TryRun. Failed entries report their per-query
+// Status; healthy entries are bit-identical to the sequential
 // reference; the engine and its cache stay clean throughout.
 TEST(EngineRobustnessTest, MixedBatchReturnsPerQueryStatuses) {
   fault::Registry::Global().Reset();
@@ -244,7 +244,6 @@ TEST(EngineRobustnessTest, MixedBatchReturnsPerQueryStatuses) {
 
   const double kFaultedEps = 0.005;
   std::vector<SoiQuery> batch;
-  std::vector<CancellationToken> cancels;
   // Indices 0-5: healthy, two eps values exercising the cache.
   for (int i = 0; i < 6; ++i) {
     SoiQuery query = ValidQuery(i % 2 == 0 ? 0.002 : 0.0008);
@@ -252,25 +251,18 @@ TEST(EngineRobustnessTest, MixedBatchReturnsPerQueryStatuses) {
                                  static_cast<KeywordId>((i + 1) % 4)});
     query.k = 2 + i % 3;
     batch.push_back(query);
-    cancels.push_back(CancellationToken());
   }
   // Index 6: NaN eps (invalid).
   batch.push_back(ValidQuery(std::nan("")));
-  cancels.push_back(CancellationToken());
   // Index 7: k = 0 (invalid).
   SoiQuery bad_k = ValidQuery();
   bad_k.k = 0;
   batch.push_back(bad_k);
-  cancels.push_back(CancellationToken());
-  // Index 8: expired deadline.
-  batch.push_back(ValidQuery(0.003));
-  cancels.push_back(CancellationToken::WithDeadline(-1.0));
-  // Index 9: targets the faulted eps — under the fault preset its maps
+  // Index 8: targets the faulted eps — under the fault preset its maps
   // build fails once (kInternal); elsewhere it behaves like a healthy
   // query.
   SoiQuery faulted = ValidQuery(kFaultedEps);
   batch.push_back(faulted);
-  cancels.push_back(CancellationToken());
 
   // Sequential reference for every structurally valid query.
   SoiAlgorithm sequential(instance.network, instance.grid,
@@ -289,22 +281,25 @@ TEST(EngineRobustnessTest, MixedBatchReturnsPerQueryStatuses) {
                        options);
     fault::ScopedFault armed("cache.build_maps", fault::FaultPlan{});
 
-    std::vector<Result<SoiResult>> results =
-        engine.TryRunBatch(batch, cancels);
+    std::vector<Result<SoiResult>> results = engine.TryRunBatch(batch);
     ASSERT_EQ(results.size(), batch.size());
 
     EXPECT_EQ(results[6].status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(results[7].status().code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(results[8].status().code(), StatusCode::kDeadlineExceeded);
+    // A deadline belongs to one query, so it is served through TryRun:
+    // an expired token fails the query before its maps are looked up.
+    Result<SoiResult> expired = engine.TryRun(
+        ValidQuery(0.003), CancellationToken::WithDeadline(-1.0));
+    EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
 
-    // The structurally valid queries (0-5 and 9): under the fault preset
+    // The structurally valid queries (0-5 and 8): under the fault preset
     // exactly one absorbs the injected build fault (whichever triggered
     // the first maps build — scheduling-dependent) and reports
     // kInternal; every other one must return a result bit-identical to
     // the sequential reference. Same-eps peers of the faulted build
     // retry against the evicted slot and succeed.
     int internal = 0;
-    for (size_t i : {0u, 1u, 2u, 3u, 4u, 5u, 9u}) {
+    for (size_t i : {0u, 1u, 2u, 3u, 4u, 5u, 8u}) {
       const Result<SoiResult>& result = results[i];
       if (result.ok()) {
         ExpectIdenticalResults(result.ValueOrDie(), reference(batch[i]),

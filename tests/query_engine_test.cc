@@ -1,6 +1,7 @@
 #include "core/query_engine.h"
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/soi_algorithm.h"
+#include "grid/live_poi_view.h"
 #include "gtest/gtest.h"
 #include "obs/obs.h"
 #include "test_util.h"
@@ -511,26 +513,146 @@ TEST(QueryEngineTest, CoalescedGroupsChargeAdmissionPerLogicalQuery) {
   EXPECT_EQ(builds.load(), 1);
 }
 
-TEST(QueryEngineTest, PerQueryTokensDisableCoalescing) {
-  Instance instance(23, 0.003, 300, 6);
+// Keeps an engine full: one query whose eps-maps build blocks in the
+// engine's build_observer until Release(). Install() before the engine
+// is constructed, Start() once it exists.
+class InFlightHold {
+ public:
+  static constexpr double kHeldEps = 0.0011;
+
+  void Install(QueryEngineOptions* options) {
+    options->build_observer = [this](double eps) {
+      if (eps != kHeldEps) return;
+      std::unique_lock<std::mutex> lock(mutex_);
+      started_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    };
+  }
+
+  void Start(QueryEngine* engine) {
+    thread_ = std::thread([engine] {
+      SoiQuery held;
+      held.keywords = KeywordSet({0});
+      held.k = 3;
+      held.eps = kHeldEps;
+      Result<SoiResult> result = engine->TryRun(held);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    });
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return started_; });
+  }
+
+  void Release() {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      released_ = true;
+      cv_.notify_all();
+    }
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool started_ = false;
+  bool released_ = false;
+  std::thread thread_;
+};
+
+// Regression test: when every member of a coalesced group was shed, the
+// shared evaluation never ran and the group's first member got no
+// flight record while its duplicate got one. Every logical query now
+// leaves exactly one record.
+TEST(QueryEngineTest, ShedCoalescedGroupRecordsEveryRequester) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  Instance instance(35, 0.003, 300, 6);
   QueryEngineOptions options;
-  options.num_threads = 1;
+  options.max_inflight_queries = 1;
+  InFlightHold hold;
+  hold.Install(&options);
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
+  hold.Start(&engine);
 
-  // Two identical queries with independent tokens, the second already
-  // fired: were they coalesced onto one evaluation, the fired token
-  // could not produce its per-query kCancelled.
-  std::vector<SoiQuery> batch = MakeBatch(41, 1);
-  batch.push_back(batch.front());
-  std::vector<CancellationToken> cancels = {
-      CancellationToken::Cancellable(), CancellationToken::Cancellable()};
-  cancels[1].Cancel();
-  std::vector<Result<SoiResult>> got = engine.TryRunBatch(batch, cancels);
+  obs::FlightRecorder::Global().Reset();
+  SoiQuery query = MakeBatch(43, 1).front();
+  std::vector<Result<SoiResult>> got = engine.TryRunBatch({query, query});
+  obs::FlightRecorder::Snapshot flights =
+      obs::FlightRecorder::Global().Snap();
+  hold.Release();
+
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_TRUE(got[0].ok());
-  ASSERT_FALSE(got[1].ok());
-  EXPECT_EQ(got[1].status().code(), StatusCode::kCancelled);
+  for (const Result<SoiResult>& result : got) {
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  }
+  int shed_records = 0;
+  int coalesced_records = 0;
+  for (const obs::QueryRecord& record : flights.recent) {
+    if (record.status != StatusCode::kResourceExhausted) continue;
+    ++shed_records;
+    if (record.coalesced) ++coalesced_records;
+  }
+  EXPECT_EQ(shed_records, 2) << "one record per logical query";
+  EXPECT_EQ(coalesced_records, 1) << "the first requester is not coalesced";
+}
+
+// Validation precedes admission on the batch path as on TryRun: a
+// duplicated NaN-eps query is kInvalidArgument on a full engine (not
+// kResourceExhausted) and never reaches admission control.
+TEST(QueryEngineTest, InvalidDuplicatesAreRejectedBeforeAdmission) {
+  Instance instance(37, 0.003, 300, 6);
+  QueryEngineOptions options;
+  options.max_inflight_queries = 1;
+  InFlightHold hold;
+  hold.Install(&options);
+  QueryEngine engine(instance.network, instance.grid, instance.global_index,
+                     instance.segment_cells, options);
+  hold.Start(&engine);
+
+  SoiQuery invalid = MakeBatch(47, 1).front();
+  invalid.eps = std::nan("");
+  obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  std::vector<Result<SoiResult>> got =
+      engine.TryRunBatch({invalid, invalid, invalid});
+  Result<SoiResult> single = engine.TryRun(invalid);
+  obs::MetricsSnapshot delta =
+      obs::Registry::Global().Snapshot().Since(before);
+  hold.Release();
+
+  ASSERT_EQ(got.size(), 3u);
+  got.push_back(std::move(single));
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].status().code(), StatusCode::kInvalidArgument)
+        << "entry " << i << ": " << got[i].status().ToString();
+  }
+  EXPECT_EQ(delta.CounterOr0("soi.engine.shed"), 0);
+}
+
+// The engine replaces algorithm.cancel and algorithm.live_view on every
+// query, so configuring either is rejected instead of silently ignored.
+TEST(QueryEngineDeathTest, RejectsAlgorithmSettingsTheEngineReplaces) {
+  Instance instance(39, 0.003, 100, 5);
+  QueryEngineOptions with_cancel;
+  with_cancel.algorithm.cancel = CancellationToken::Cancellable();
+  EXPECT_DEATH(
+      {
+        QueryEngine engine(instance.network, instance.grid,
+                           instance.global_index, instance.segment_cells,
+                           with_cancel);
+      },
+      "algorithm.cancel.*TryRun");
+
+  LivePoiView view(instance.grid, instance.global_index);
+  QueryEngineOptions with_view;
+  with_view.algorithm.live_view = &view;
+  EXPECT_DEATH(
+      {
+        QueryEngine engine(instance.network, instance.grid,
+                           instance.global_index, instance.segment_cells,
+                           with_view);
+      },
+      "algorithm.live_view.*epoch_source");
 }
 
 TEST(QueryEngineTest, ConcurrentWarmCacheHitsServeOneMapsObject) {

@@ -54,6 +54,14 @@ atomic-pointer
               LiveWorld::Pin). A hand-rolled atomic-pointer publication
               needs its own reader counter, memory-order argument and
               reclamation scheme — the machinery that lock replaced.
+flight-record-site
+              QueryRecords are written to the flight recorder
+              (SOI_OBS_FLIGHT_RECORD / FlightRecorder::Global().Record)
+              only by QueryEngine's one query path in
+              src/core/query_engine.cc (and defined in src/obs/obs.h):
+              one record per logical query, from one site. A second
+              record site is how duplicate and missing records crept in
+              (a batch path that recorded on its own, and drifted).
 lock-hygiene  No raw std::mutex / std::lock_guard / std::unique_lock /
               std::scoped_lock / std::condition_variable (or the shared/
               timed/recursive variants) outside common/mutex.h: all
@@ -111,6 +119,7 @@ RULE_SCOPE = {
     "nested-vector": ("src/grid",),
     "hash-of-vectors": ("src/grid",),
     "atomic-pointer": ("src",),
+    "flight-record-site": ("src",),
     "lock-hygiene": ("src",),
 }
 
@@ -141,6 +150,8 @@ ALLOWLIST = {
         "src/grid/point_grid.h",
     ],
     "atomic-pointer": [],
+    # The macro's definition and the engine's one query path.
+    "flight-record-site": ["src/obs/obs.h", "src/core/query_engine.cc"],
     # mutex.h is the blessed wrapper; lock_graph.{h,cc} implement the
     # detector it reports into and must not instrument themselves.
     "lock-hygiene": [
@@ -198,6 +209,10 @@ RULE_PATTERNS = {
     "atomic-pointer": re.compile(
         r"std::\s*atomic\s*<(?:[^<>;]|<[^<>;]*>)*\*\s*>"
     ),
+    "flight-record-site": re.compile(
+        r"\bSOI_OBS_FLIGHT_RECORD\s*\("
+        r"|FlightRecorder::Global\s*\(\s*\)\s*\.\s*Record\s*\("
+    ),
     "lock-hygiene": re.compile(
         r"std::(?:mutex|timed_mutex|recursive_mutex|recursive_timed_mutex"
         r"|shared_mutex|shared_timed_mutex|lock_guard|scoped_lock"
@@ -243,6 +258,11 @@ RULE_MESSAGES = {
         "readers copy under a short leaf lock (see QueryEngine::TryGetMaps "
         "and LiveWorld::Pin) instead of hand-rolling reader counters and "
         "reclamation"
+    ),
+    "flight-record-site": (
+        "flight record written outside QueryEngine's query path; every "
+        "logical query gets its one QueryRecord from QueryEngine::Serve "
+        "(src/core/query_engine.cc)"
     ),
     "lock-hygiene": (
         "raw std:: synchronization primitive; lock through soi::Mutex / "

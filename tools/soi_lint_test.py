@@ -42,6 +42,7 @@ class TextRuleTest(unittest.TestCase):
         ("bad_nested_vector.h", "nested-vector", 10),
         ("bad_hash_of_vectors.h", "hash-of-vectors", 13),
         ("bad_atomic_pointer.h", "atomic-pointer", 14),
+        ("bad_flight_record_site.cc", "flight-record-site", 12),
         ("bad_lock_hygiene.cc", "lock-hygiene", 5),
     ]
 
@@ -86,6 +87,18 @@ class TextRuleTest(unittest.TestCase):
             )
         finally:
             soi_lint.ALLOWLIST["hash-of-vectors"] = allowed
+        self.assertEqual(sorted({f[0] for f in findings}), sorted(allowed))
+
+    def test_flight_record_site_allowlist_is_live(self):
+        # The allowlisted files are the only record sites under src/.
+        allowed = soi_lint.ALLOWLIST["flight-record-site"]
+        soi_lint.ALLOWLIST["flight-record-site"] = []
+        try:
+            findings = soi_lint.run_text_rules(
+                ROOT, rules=["flight-record-site"]
+            )
+        finally:
+            soi_lint.ALLOWLIST["flight-record-site"] = allowed
         self.assertEqual(sorted({f[0] for f in findings}), sorted(allowed))
 
     def test_allowlist_silences_a_fixture(self):
